@@ -24,8 +24,10 @@ from .crossbar import (
     layer_forward,
     map_weights,
     sa_read,
+    sa_read_batch,
+    segment_lengths,
 )
-from .dataflow import ConvShape, ConvWindowBuffer, TransactionLog, layout_kernels, pipeline_schedule, run_layer
+from .dataflow import ConvShape, ConvWindowBuffer, TransactionLog, layout_kernels, run_layer
 from .netio import (
     CrossbarBackend,
     DatasetSource,

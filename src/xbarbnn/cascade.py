@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar import ReferenceSet, SAReadout
+from .crossbar import ReferenceSet, SAReadout, sa_read_batch
 
 POLICY_KINDS = ("AND", "OR", "F1", "F2")
 
@@ -102,28 +102,29 @@ class MonteCarloLoss:
     ci_high: float
 
 
-def decide_batch(kind: str, intervals: np.ndarray, lengths, counts_refsets, vector_size: int) -> np.ndarray:
+def decide_batch(kind: str, intervals: np.ndarray, lengths, refs: ReferenceSet) -> np.ndarray:
     """Vectorized cascade decision.
 
     intervals: (batch, segments) interval indices from the SA readouts.
-    counts_refsets: one ReferenceSet per segment (levels per segment).
+    lengths: logical length of each segment; the vector size is their sum.
+    refs: the reference layout, retargeted to each segment with
+    `refs.for_segment`.
     Returns a boolean array of activation bits.
     """
     intervals = np.asarray(intervals)
-    n_seg = intervals.shape[1]
-    count = counts_refsets[0].count
-    mid = (count - 1) // 2
+    mid = (refs.count - 1) // 2
     if kind == "AND":
         return (intervals > mid).all(axis=1)
     if kind == "OR":
         return (intervals > mid).any(axis=1)
+    vector_size = sum(lengths)
     if kind == "F1":
         # Certified lower bound per segment: the highest reference strictly
         # below the count; a readout in the bottom interval certifies none.
         lo_sum = np.zeros(intervals.shape[0], dtype=np.int64)
         all_certified = np.ones(intervals.shape[0], dtype=bool)
-        for s in range(n_seg):
-            lows = np.asarray([0, *counts_refsets[s].levels()], dtype=np.int64)
+        for s, m in enumerate(lengths):
+            lows = np.asarray([0, *refs.for_segment(m).levels()], dtype=np.int64)
             t = intervals[:, s]
             lo_sum += lows[t]
             all_certified &= t >= 1
@@ -132,10 +133,21 @@ def decide_batch(kind: str, intervals: np.ndarray, lengths, counts_refsets, vect
     # (the segment length in the top interval); fire when the largest count
     # sum consistent with the readouts is a strict majority.
     hi_sum = np.zeros(intervals.shape[0], dtype=np.int64)
-    for s in range(n_seg):
-        highs = np.asarray([*counts_refsets[s].levels(), lengths[s]], dtype=np.int64)
+    for s, m in enumerate(lengths):
+        highs = np.asarray([*refs.for_segment(m).levels(), m], dtype=np.int64)
         hi_sum += highs[intervals[:, s]]
     return 2 * hi_sum > vector_size
+
+
+def decide_counts(kind: str, counts, lengths, refs: ReferenceSet) -> np.ndarray:
+    """Cascade decision from per-segment column counts (one array per
+    segment, all of one shape): each segment is read out with
+    `sa_read_batch` against its retargeted references, then `decide_batch`
+    merges the readouts. Returns the activation bits, flattened."""
+    intervals = np.stack(
+        [sa_read_batch(np.ravel(c), refs.for_segment(m)) for c, m in zip(counts, lengths)], axis=1
+    )
+    return decide_batch(kind, intervals, lengths, refs)
 
 
 def cascade(policy: CascadePolicy, readouts: list[SAReadout], segment_lengths: list[int]) -> int:
@@ -144,9 +156,8 @@ def cascade(policy: CascadePolicy, readouts: list[SAReadout], segment_lengths: l
         raise ValueError("no readouts to cascade")
     if len(readouts) != len(segment_lengths):
         raise ValueError("one segment length per readout required")
-    refsets = [policy.refs.for_segment(n) for n in segment_lengths]
     intervals = np.array([[r.interval_index for r in readouts]])
-    out = decide_batch(policy.kind, intervals, segment_lengths, refsets, sum(segment_lengths))
+    out = decide_batch(policy.kind, intervals, segment_lengths, policy.refs)
     return int(out[0])
 
 
@@ -172,11 +183,6 @@ def pair_count(half: int, matches: int) -> int:
     return math.comb(half, matches) * (1 << half)
 
 
-def _intervals_for(d: np.ndarray, refs: ReferenceSet) -> np.ndarray:
-    levels = np.asarray(refs.levels(), dtype=np.int64)
-    return (np.asarray(d)[:, None] > levels[None, :]).sum(axis=1)
-
-
 def enumerate_loss(vector_size: int, segment: int, policy: CascadePolicy) -> LossRegionReport:
     """Exact loss census over every (A, B) pair, done by weighting each
     per-half match-count cell (m, n) with its closed-form pair count.
@@ -188,13 +194,10 @@ def enumerate_loss(vector_size: int, segment: int, policy: CascadePolicy) -> Los
     if vector_size % 2 or segment != vector_size // 2:
         raise ValueError("analysis covers the even split into two equal segments")
     seg2 = vector_size - segment
-    refsets = [policy.refs.for_segment(segment), policy.refs.for_segment(seg2)]
-
     m = np.repeat(np.arange(segment + 1), seg2 + 1)
     n = np.tile(np.arange(seg2 + 1), segment + 1)
     golden = 2 * (m + n) > vector_size
-    intervals = np.stack([_intervals_for(m, refsets[0]), _intervals_for(n, refsets[1])], axis=1)
-    out = decide_batch(policy.kind, intervals, [segment, seg2], refsets, vector_size)
+    out = decide_counts(policy.kind, (m, n), (segment, seg2), policy.refs)
 
     weights_m = [pair_count(segment, int(v)) for v in range(segment + 1)]
     weights_n = [pair_count(seg2, int(v)) for v in range(seg2 + 1)]
@@ -233,14 +236,12 @@ def monte_carlo_loss(
     if samples < 1:
         raise ValueError("need at least one sample")
     seg2 = vector_size - segment
-    refsets = [policy.refs.for_segment(segment), policy.refs.for_segment(seg2)]
     rng = np.random.default_rng(seed)
     p = distribution.sample_p(rng, samples)
     d1 = rng.binomial(segment, p)
     d2 = rng.binomial(seg2, p)
     golden = 2 * (d1 + d2) > vector_size
-    intervals = np.stack([_intervals_for(d1, refsets[0]), _intervals_for(d2, refsets[1])], axis=1)
-    out = decide_batch(policy.kind, intervals, [segment, seg2], refsets, vector_size)
+    out = decide_counts(policy.kind, (d1, d2), (segment, seg2), policy.refs)
     fp = int((out & ~golden).sum())
     fn = int((~out & golden).sum())
     lo, hi = _wilson(fp + fn, samples)

@@ -109,6 +109,21 @@ def run_verification(nu_max: int = 10, progress=print) -> list[str]:
     shapes = " ".join("+".join(map(str, lengths)) for lengths in CASCADE_SPLITS)
     check(f"F1 sound / F2 complete over all count cells, splits {shapes}", ok, "cmd_verify cascade suite")
 
+    # the batched inference chain equals the per-vector crossbar model on
+    # every split shape k in {1, 2, 3}, unequal tails included
+    rng = np.random.default_rng(1)
+    cases = [
+        (rows, fan_in, kind, count, x)
+        for rows, fan_in in CHAIN_SPLITS
+        for kind in cascade.POLICY_KINDS
+        for count in (3, 5)
+        for x in (1, 2)
+        if _admissible(crossbar.segment_lengths(fan_in, rows), x, count)
+    ]
+    ok = all(_batched_chain_matches_scalar(*case, rng) for case in cases)
+    shapes = " ".join("+".join(map(str, crossbar.segment_lengths(n, rows))) for rows, n in CHAIN_SPLITS)
+    check(f"batched crossbar chain == scalar layer_forward, splits {shapes}", ok, "cmd_verify chain suite")
+
     # weighted census equals the raw pair walk
     ok = True
     for n in (4, 6, 8):
@@ -145,23 +160,43 @@ def _cascade_guarantees_hold(lengths, x: int, count: int) -> bool:
     non-majority, F2 fires on a readout tuple exactly when one of its count
     cells is a majority (complete, and no complete rule fires less), and F2
     fires wherever F1 does."""
-    refsets = [crossbar.ReferenceSet(n, x, count) for n in lengths]
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
     cells = np.array(list(itertools.product(*(range(n + 1) for n in lengths))))
     intervals = np.stack(
         [
-            np.array([crossbar.sa_read(d, refs).interval_index for d in range(n + 1)])[cells[:, s]]
-            for s, (n, refs) in enumerate(zip(lengths, refsets))
+            np.array([crossbar.sa_read(d, refs.for_segment(n)).interval_index for d in range(n + 1)])[cells[:, s]]
+            for s, n in enumerate(lengths)
         ],
         axis=1,
     )
-    nu = sum(lengths)
-    golden = 2 * cells.sum(axis=1) > nu
-    f1 = cascade.decide_batch("F1", intervals, lengths, refsets, nu)
-    f2 = cascade.decide_batch("F2", intervals, lengths, refsets, nu)
+    golden = 2 * cells.sum(axis=1) > sum(lengths)
+    f1 = cascade.decide_batch("F1", intervals, lengths, refs)
+    f2 = cascade.decide_batch("F2", intervals, lengths, refs)
     key = np.ravel_multi_index(intervals.T, (count + 1,) * len(lengths))
     some_majority = np.zeros((count + 1) ** len(lengths), dtype=bool)
     np.logical_or.at(some_majority, key, golden)
     return not (f1 & ~golden).any() and (f2 == some_majority[key]).all() and not (f1 & ~f2).any()
+
+
+# (array rows, fan-in): one segment, an unequal two-way and a three-way split
+CHAIN_SPLITS = ((8, 7), (8, 14), (8, 23), (16, 12), (16, 28), (16, 40))
+
+
+def _batched_chain_matches_scalar(rows: int, fan_in: int, kind: str, count: int, x: int, rng) -> bool:
+    """`netio._fc_bits_crossbar` on random bit matrices against
+    `crossbar.layer_forward` per (input row, neuron)."""
+    cfg = crossbar.CrossbarConfig(rows, rows)
+    refs = crossbar.ReferenceSet(crossbar.segment_lengths(fan_in, rows)[0], x, count)
+    a = rng.integers(0, 2, (16, fan_in), dtype=np.uint8)
+    w = rng.integers(0, 2, (4, fan_in), dtype=np.uint8)
+    got = netio._fc_bits_crossbar(a, w, netio.CrossbarBackend(cfg, refs, kind))
+    policy = cascade.CascadePolicy(kind, refs)
+    groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
+    want = [
+        [crossbar.layer_forward(bincore.BinaryTensor.from_bits(row), g, refs, policy) for g in groups]
+        for row in a
+    ]
+    return np.array_equal(got, want)
 
 
 def _raw_pair_mismatches(n: int, kind: str) -> int:
@@ -274,7 +309,7 @@ def _network_from_args(args, config) -> netio.NetworkSpec:
         return netio.parse_topology(topology)
     if name:
         return netio.named_network(name)
-    raise SystemExit("need --network or --topology")
+    raise ValueError("need --network or --topology")
 
 
 def cmd_infer(args) -> int:
@@ -285,6 +320,9 @@ def cmd_infer(args) -> int:
     refs_count = int(_resolve(args, config, "refs", 3))
     distance = int(_resolve(args, config, "ref_distance", 16))
     geometry = crossbar.CrossbarConfig.parse(_resolve(args, config, "crossbar", "512x512"))
+    refs = crossbar.ReferenceSet(geometry.rows, distance if refs_count > 1 else 0, refs_count)
+    backend = netio.CrossbarBackend(geometry, refs, policy)
+    backend.validate(net)
 
     if args.weights:
         weights = netio.WeightContainer.load(args.weights)
@@ -305,8 +343,6 @@ def cmd_infer(args) -> int:
         images = rng.integers(0, 256, (n, net.input_h, net.input_w), dtype=np.uint8)
         labels = rng.integers(0, 10, n, dtype=np.uint8)
 
-    refs = crossbar.ReferenceSet(geometry.rows, distance if refs_count > 1 else 0, refs_count)
-    backend = netio.CrossbarBackend(geometry, refs, policy)
     report = netio.run_inference(net, weights, images, labels, backend)
 
     resolved = {
@@ -413,7 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:  # bad configuration or input file
+        print(f"xbarbnn {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ Every report carries that disclaimer in its header.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from . import dataflow
+from .crossbar import segment_lengths
 from .netio import ConvLayer, FCLayer, NetworkSpec, PoolLayer
 
 DISCLAIMER = (
@@ -73,17 +74,6 @@ class CostParams:
                 parts.append("unknown keys: " + ", ".join(extra))
             raise ValueError("; ".join(parts))
         return cls(**d)
-
-    def scaled_energy(self, factor: float) -> "CostParams":
-        """Every energy parameter multiplied by a common factor."""
-        return replace(
-            self,
-            crossbar_read_energy_j=self.crossbar_read_energy_j * factor,
-            sa_compare_energy_j=self.sa_compare_energy_j * factor,
-            popcount_unit_energy_j=self.popcount_unit_energy_j * factor,
-            shift_add_energy_j=self.shift_add_energy_j * factor,
-            transfer_word_energy_j=self.transfer_word_energy_j * factor,
-        )
 
 
 @dataclass(frozen=True)
@@ -220,10 +210,6 @@ def _geometry(net: NetworkSpec, params: CostParams) -> list[_LayerGeom]:
     return geoms
 
 
-def _splits(fan_in: int, rows: int) -> int:
-    return -(-fan_in // rows)
-
-
 def estimate_proposed(
     net: NetworkSpec,
     params: CostParams,
@@ -233,10 +219,12 @@ def estimate_proposed(
 ) -> CostReport:
     """All columns of a window evaluate in one array read; each column needs
     one SA comparison cycle per reference. Data transfer is pipelined with
-    compute, so it costs energy but no serial cycles."""
+    compute, so it costs energy but no serial cycles. Conv layers are
+    costed at stride 1 with parallel_window=False: one window per array
+    read, bus words from `dataflow.streamed_words_per_layer`."""
     layers = []
     for g in _geometry(net, params):
-        splits = _splits(g.fan_in, crossbar_rows)
+        splits = len(segment_lengths(g.fan_in, crossbar_rows))
         instances = -(-g.outputs * splits // crossbar_cols)
         reads = g.windows * g.bit_planes
         if g.non_binarized:
@@ -283,7 +271,7 @@ def estimate_baseline(
     and the array is activated once per group pass."""
     layers = []
     for g in _geometry(net, params):
-        splits = _splits(g.fan_in, crossbar_rows)
+        splits = len(segment_lengths(g.fan_in, crossbar_rows))
         instances = -(-g.outputs * splits // crossbar_cols)
         passes = -(-g.outputs // params.baseline_popcount_group)
         per_window = g.bit_planes * (

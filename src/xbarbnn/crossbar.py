@@ -5,6 +5,13 @@ vectors longer than the array.
 The array itself is ideal: every bitline popcount is exact, and all accuracy
 loss comes from splitting a vector over several columns and recombining the
 per-column threshold readouts.
+
+`segment_lengths` is the only split policy: every caller that splits a
+vector (the mapping below, the batched inference chain, the cost model)
+asks it for the segment lengths. `sa_read_batch` is the batched SA readout.
+The per-vector path (`map_weights`, `split_inputs`, `sa_read`,
+`layer_forward`) works on packed `BinaryTensor`s one decision at a time; it
+is the oracle the batched chain is tested against.
 """
 
 from __future__ import annotations
@@ -91,60 +98,57 @@ class SAReadout:
     cycles_used: int
 
 
+def segment_lengths(n: int, rows: int) -> tuple[int, ...]:
+    """Logical lengths of the column segments an n-bit vector occupies on an
+    array of `rows` wordlines: full columns first, then one shorter tail."""
+    if n < 1:
+        raise ValueError(f"vector length must be positive, got {n}")
+    full, tail = divmod(n, rows)
+    return (rows,) * full + ((tail,) if tail else ())
+
+
 @dataclass(frozen=True)
 class MappedColumnGroup:
     """One logical weight vector split over contiguous column segments.
 
-    Pad cells past the logical length hold weight bit 0 and are driven with
-    input bit 1, so each pad position XNORs to 0 and never disturbs the
-    bitline popcount.
+    Every segment is as long as the first; pad cells past a segment's
+    logical length hold weight bit 0 and are driven with input bit 1, so
+    each pad position XNORs to 0 and never disturbs the bitline popcount.
     """
 
-    vector_size: int
-    segment_length: int
-    splits: int
+    logical_lengths: tuple[int, ...]
     segments: tuple[BinaryTensor, ...] = field(repr=False)
-    owner: tuple | None = None
 
     @property
-    def logical_lengths(self) -> tuple[int, ...]:
-        full, last = divmod(self.vector_size, self.segment_length)
-        lens = [self.segment_length] * full
-        if last:
-            lens.append(last)
-        return tuple(lens)
+    def vector_size(self) -> int:
+        return sum(self.logical_lengths)
+
+    @property
+    def splits(self) -> int:
+        return len(self.logical_lengths)
 
 
-def map_weights(w: BinaryTensor, cfg: CrossbarConfig, owner=None) -> MappedColumnGroup:
+def _split_bits(bits: np.ndarray, lengths: tuple[int, ...], pad: int) -> tuple[BinaryTensor, ...]:
+    out, start = [], 0
+    for m in lengths:
+        chunk = np.full(lengths[0], pad, dtype=np.uint8)
+        chunk[:m] = bits[start : start + m]
+        out.append(BinaryTensor.from_bits(chunk))
+        start += m
+    return tuple(out)
+
+
+def map_weights(w: BinaryTensor, cfg: CrossbarConfig) -> MappedColumnGroup:
     """Split a weight vector into column segments of at most cfg.rows bits."""
-    n = w.size
-    if n < 1:
-        raise ValueError("empty weight vector")
-    rows = cfg.rows
-    splits = -(-n // rows)
-    bits = w.bits().ravel()
-    segments = []
-    for s in range(splits):
-        chunk = bits[s * rows : (s + 1) * rows]
-        if chunk.size < rows and splits > 1:
-            chunk = np.concatenate([chunk, np.zeros(rows - chunk.size, dtype=np.uint8)])
-        segments.append(BinaryTensor.from_bits(chunk))
-    return MappedColumnGroup(n, rows if splits > 1 else n, splits, tuple(segments), owner)
+    lengths = segment_lengths(w.size, cfg.rows)
+    return MappedColumnGroup(lengths, _split_bits(w.bits().ravel(), lengths, 0))
 
 
 def split_inputs(a: BinaryTensor, group: MappedColumnGroup) -> tuple[BinaryTensor, ...]:
     """Slice an input vector to match a group's segments, pad lines driven to 1."""
     if a.size != group.vector_size:
         raise ValueError(f"input length {a.size} does not match group ({group.vector_size})")
-    bits = a.bits().ravel()
-    rows = group.segment_length
-    out = []
-    for s in range(group.splits):
-        chunk = bits[s * rows : (s + 1) * rows]
-        if chunk.size < rows and group.splits > 1:
-            chunk = np.concatenate([chunk, np.ones(rows - chunk.size, dtype=np.uint8)])
-        out.append(BinaryTensor.from_bits(chunk))
-    return tuple(out)
+    return _split_bits(a.bits().ravel(), group.logical_lengths, 1)
 
 
 def column_popcount(inputs: BinaryTensor, weights: BinaryTensor) -> int:
@@ -160,6 +164,13 @@ def sa_read(level: int, refs: ReferenceSet) -> SAReadout:
         raise ValueError(f"level {level} outside [0, {refs.segment_length}]")
     idx = sum(level > r for r in refs.levels())
     return SAReadout(idx, refs.count)
+
+
+def sa_read_batch(levels: np.ndarray, refs: ReferenceSet) -> np.ndarray:
+    """Interval index of every level in an array, as `sa_read` gives it one
+    level at a time: the number of references strictly below the level.
+    Levels are not range-checked."""
+    return np.searchsorted(np.asarray(refs.levels()), levels, side="left")
 
 
 def layer_forward(inputs: BinaryTensor, group: MappedColumnGroup, refs: ReferenceSet, policy) -> int:

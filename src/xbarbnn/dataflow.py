@@ -58,7 +58,6 @@ class TransactionLog:
     bus_width_bits: int = 32
     bits_streamed: int = 0
     words_streamed: int = 0
-    reprogram_events: int = 0
     slides: int = 0
     wraps: int = 0
 
@@ -68,12 +67,11 @@ class TransactionLog:
         self.words_streamed += -(-payload // self.bus_width_bits)
 
 
-class CapacityError(Exception):
-    """A layer does not fit one crossbar; carries the multi-array plan."""
-
-    def __init__(self, message: str, plan: dict):
-        super().__init__(message)
-        self.plan = plan
+def _check_window(shape: ConvShape, parallel_window: bool) -> None:
+    # the lookahead pack holds the next window only when windows advance by
+    # one input column
+    if parallel_window and shape.stride > 1:
+        raise ValueError(f"parallel_window needs stride 1, got stride {shape.stride}")
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,7 @@ def layout_kernels(
     rows_used = pack * (k + (1 if parallel_window else 0))
     cols_used = shape.out_channels * slots
     if rows_used > cfg.rows or cols_used > cfg.cols:
-        arrays = max(-(-rows_used // cfg.rows), -(-cols_used // cfg.cols))
-        raise CapacityError(
-            f"layer needs {rows_used}x{cols_used} cells on a {cfg.rows}x{cfg.cols} array",
-            {"rows_needed": rows_used, "cols_needed": cols_used, "arrays_needed": arrays},
-        )
+        raise ValueError(f"layer needs {rows_used}x{cols_used} cells on a {cfg.rows}x{cfg.cols} array")
 
     # kernel column c, channel-major: [ch0 rows, ch1 rows, ...]
     col_packs = [kernels[:, :, :, c].reshape(shape.out_channels, pack) for c in range(k)]
@@ -204,11 +198,13 @@ def run_layer(
 
     Returns the signed XNOR-dot value per (output channel, window) and the
     transaction log of the traversal. Windows are evaluated two at a time
-    when parallel_window is set, except for a dangling last window in a row.
+    when parallel_window is set, except for a dangling last window in a row;
+    parallel_window needs stride 1.
     """
     input_bits = np.asarray(input_bits, dtype=np.uint8)
     ch, h, w = input_bits.shape
     shape = ConvShape(ch, np.asarray(kernels).shape[0], h, w, np.asarray(kernels).shape[2], stride)
+    _check_window(shape, parallel_window)
     parallel_window = parallel_window and shape.out_w >= 2
     image = layout_kernels(shape, kernels, cfg or CrossbarConfig(), parallel_window)
     buf = ConvWindowBuffer(shape, parallel_window, bit_width)
@@ -246,6 +242,7 @@ def run_layer(
 def streamed_bits_per_row(shape: ConvShape, parallel_window: bool = False) -> int:
     """Closed form for one window row: a full refresh plus one pack (stride
     packs) per remaining slide."""
+    _check_window(shape, parallel_window)
     pack = shape.pack_bits
     refresh = pack * (shape.kernel + (1 if parallel_window else 0))
     if parallel_window:
@@ -261,6 +258,7 @@ def streamed_words_per_layer(
     parallel_window: bool = False,
 ) -> int:
     """Bus words for a full layer traversal, with per-event word rounding."""
+    _check_window(shape, parallel_window)
     word = lambda bits: -(-bits * bit_width // bus_width_bits)
     pack = shape.pack_bits
     refresh = word(pack * (shape.kernel + (1 if parallel_window else 0)))
@@ -271,23 +269,3 @@ def streamed_words_per_layer(
     else:
         per_row = refresh + (shape.out_w - 1) * word(shape.stride * pack)
     return shape.out_h * per_row
-
-
-def pipeline_schedule(layers: list[ConvShape], parallel_window: bool = False) -> list[int]:
-    """Start offsets, in window-evaluation steps, for a chain of conv layers.
-
-    A layer may start once its kernel height in full output rows of the
-    previous layer exists.
-    """
-    if not layers:
-        raise ValueError("empty layer list")
-    for a, b in zip(layers, layers[1:]):
-        if a.out_channels != b.in_channels:
-            raise ValueError(f"channel mismatch between layers: {a.out_channels} -> {b.in_channels}")
-        if (a.out_h, a.out_w) != (b.input_h, b.input_w):
-            raise ValueError("layer input size does not match previous output")
-    offsets = [0]
-    for prev, nxt in zip(layers, layers[1:]):
-        evals_per_row = -(-prev.out_w // 2) if parallel_window else prev.out_w
-        offsets.append(offsets[-1] + nxt.kernel * evals_per_row)
-    return offsets

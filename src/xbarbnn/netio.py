@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cascade as _cascade
-from .crossbar import CrossbarConfig, ReferenceSet
+from .crossbar import CrossbarConfig, ReferenceSet, sa_read_batch, segment_lengths
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -343,6 +343,21 @@ class CrossbarBackend:
     def policy(self) -> _cascade.CascadePolicy:
         return _cascade.CascadePolicy(self.policy_kind, self.refs)
 
+    def validate(self, net: NetworkSpec) -> None:
+        """Raise ValueError unless the reference layout fits every column
+        segment the crossbar chain senses in `net` (the final layer's raw
+        scores are not sensed)."""
+        for i, layer in enumerate(net.weight_layers[:-1]):
+            if not layer.binarized:
+                continue
+            lengths = segment_lengths(layer.fan_in, self.config.rows)
+            try:
+                for m in lengths:
+                    self.refs.for_segment(m)
+            except ValueError as err:
+                split = "+".join(map(str, lengths))
+                raise ValueError(f"layer {i} (fan-in {layer.fan_in} = {split}): {err}") from None
+
 
 @dataclass(frozen=True)
 class InferenceReport:
@@ -386,47 +401,17 @@ def _fc_bits_golden(a_bits: np.ndarray, w_bits: np.ndarray, tie_high: bool) -> n
 
 def _fc_bits_crossbar(a_bits: np.ndarray, w_bits: np.ndarray, backend: CrossbarBackend) -> np.ndarray:
     """Binary FC through the crossbar model, vectorized over rows/outputs."""
-    n = a_bits.shape[1]
-    rows = backend.config.rows
-    splits = -(-n // rows)
-    lengths = [min(rows, n - s * rows) for s in range(splits)]
-    refsets = [backend.refs.for_segment(m) for m in lengths]
-    counts = []
-    for s, m in enumerate(lengths):
-        sl = slice(s * rows, s * rows + m)
-        dot = _signed_matmul(a_bits[:, sl], w_bits[:, sl])
-        counts.append((m + dot) // 2)  # popcount of the segment XNOR
-    if splits == 1:
+    lengths = segment_lengths(a_bits.shape[1], backend.config.rows)
+    starts = np.cumsum((0,) + lengths[:-1])
+    counts = [  # popcount of each segment XNOR
+        (m + _signed_matmul(a_bits[:, lo : lo + m], w_bits[:, lo : lo + m])) // 2
+        for lo, m in zip(starts, lengths)
+    ]
+    if len(lengths) == 1:
         mid = (backend.refs.count - 1) // 2
-        levels = np.asarray(refsets[0].levels())
-        t = (counts[0][..., None] > levels).sum(axis=-1)
-        return (t > mid).astype(np.uint8)
-    flat = [c.reshape(-1) for c in counts]
-    intervals = np.stack(
-        [(f[:, None] > np.asarray(r.levels())[None, :]).sum(axis=1) for f, r in zip(flat, refsets)],
-        axis=1,
-    )
-    out = _cascade.decide_batch(backend.policy_kind, intervals, lengths, refsets, n)
+        return (sa_read_batch(counts[0], backend.refs.for_segment(lengths[0])) > mid).astype(np.uint8)
+    out = _cascade.decide_counts(backend.policy_kind, counts, lengths, backend.refs)
     return out.reshape(counts[0].shape).astype(np.uint8)
-
-
-def _first_layer_int(x, layer, weights) -> np.ndarray:
-    """Quantized non-binarized layer: integer dot, then sign to bits."""
-    if isinstance(layer, FCLayer):
-        # u8 pixels x i8 weights: magnitudes stay far below 2^53, so the
-        # float64 BLAS product is exact
-        sums = np.rint(x.astype(np.float64) @ weights.astype(np.float64).T)
-        return (sums >= 0).astype(np.uint8)
-    cols = _im2col(x, layer.kernel)  # (B, win, fan)
-    wmat = weights.reshape(layer.out_channels, -1)
-    sums = cols.astype(np.float64) @ wmat.astype(np.float64).T
-    bits = np.rint(sums) >= 0
-    b = x.shape[0]
-    return (
-        bits.reshape(b, layer.out_h, layer.out_w, layer.out_channels)
-        .transpose(0, 3, 1, 2)
-        .astype(np.uint8)
-    )
 
 
 def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
@@ -438,49 +423,33 @@ def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
 
 def _forward(net, weights, images, mode, backend, tie_high):
     """Run the whole net; returns (scores, list of activation bit tensors)."""
-    first = True
     acts = []
-    x = images.astype(np.int64)
-    if isinstance(net.layers[0], FCLayer):
-        x = x.reshape(x.shape[0], -1)
+    x = images
+    n_weight = len(net.weight_layers)
     wi = 0
-    wl = net.weight_layers
     for layer in net.layers:
         if isinstance(layer, PoolLayer):
             x = _pool_or(x, layer.size)
             continue
-        w = weights.arrays[wi]
-        last = wi == len(wl) - 1
-        if first and not layer.binarized:
-            x = _first_layer_int(x, layer, w)
-            acts.append(x)
-        elif isinstance(layer, FCLayer):
-            if x.ndim > 2:
-                x = x.reshape(x.shape[0], -1)
-            if last:
-                x = _signed_matmul(x, w)  # raw class scores, no thresholding
-            elif mode == "golden":
-                x = _fc_bits_golden(x, w, tie_high)
-                acts.append(x)
-            else:
-                x = _fc_bits_crossbar(x, w, backend)
-                acts.append(x)
-        else:  # binarized conv
-            b = x.shape[0]
-            cols = _im2col(x, layer.kernel).reshape(b * layer.out_h * layer.out_w, layer.fan_in)
-            wmat = w.reshape(layer.out_channels, -1)
-            if mode == "golden":
-                bits = _fc_bits_golden(cols, wmat, tie_high)
-            else:
-                bits = _fc_bits_crossbar(cols, wmat, backend)
-            x = (
-                bits.reshape(b, layer.out_h, layer.out_w, layer.out_channels)
-                .transpose(0, 3, 1, 2)
-                .astype(np.uint8)
-            )
-            acts.append(x)
-        first = False
+        b = x.shape[0]
+        conv = isinstance(layer, ConvLayer)
+        a = _im2col(x, layer.kernel).reshape(-1, layer.fan_in) if conv else x.reshape(b, -1)
+        w = weights.arrays[wi].reshape(layer.weight_shape[0], -1)
         wi += 1
+        if not layer.binarized:
+            # u8 pixels x i8 weights: magnitudes stay far below 2^53, so the
+            # float64 BLAS product is exact
+            bits = np.rint(a.astype(np.float64) @ w.astype(np.float64).T) >= 0
+        elif wi == n_weight:
+            return _signed_matmul(a, w), acts  # raw class scores, no thresholding
+        elif mode == "golden":
+            bits = _fc_bits_golden(a, w, tie_high)
+        else:
+            bits = _fc_bits_crossbar(a, w, backend)
+        if conv:
+            bits = bits.reshape(b, layer.out_h, layer.out_w, layer.out_channels).transpose(0, 3, 1, 2)
+        x = np.ascontiguousarray(bits, dtype=np.uint8)
+        acts.append(x)
     return x, acts
 
 
@@ -506,7 +475,7 @@ def run_inference(
     scores, acts = _forward(net, weights, images, "crossbar", backend, tie_high)
     acc = float((scores.argmax(axis=1) == labels).mean())
     labels_mismatch = []
-    names = [type(l).__name__ for l in net.weight_layers[:-1]]
+    names = [type(l).__name__ for l in net.weight_layers]
     for i, (g, c) in enumerate(zip(golden_acts, acts)):
         labels_mismatch.append((f"{i}:{names[i]}", float((g != c).mean())))
     return InferenceReport(

@@ -13,6 +13,7 @@ from xbarbnn.crossbar import (
     layer_forward,
     map_weights,
     sa_read,
+    sa_read_batch,
     split_inputs,
 )
 
@@ -84,6 +85,7 @@ class TestSaRead:
         seen = [sa_read(level, refs).interval_index for level in range(65)]
         assert seen == sorted(seen)
         assert seen[0] == 0 and seen[-1] == refs.count
+        assert sa_read_batch(np.arange(65), refs).tolist() == seen
 
     def test_out_of_range_rejected(self):
         refs = ReferenceSet(64)
