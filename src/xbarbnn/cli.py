@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import bincore, cascade, costmodel, crossbar, netio
+from . import __version__, bincore, cascade, costmodel, crossbar, netio
 
 EXACT_NU_GRID = (8, 10, 12, 14, 16, 18, 20)
 DEFAULT_X_GRID = (1, 2, 4, 8, 16, 24, 32, 48, 64, 96)
@@ -24,6 +24,15 @@ DEFAULT_X_GRID = (1, 2, 4, 8, 16, 24, 32, 48, 64, 96)
 
 def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _meta(resolved: dict, **extra) -> dict:
+    """`meta` block: hash of the resolved config, then provenance that the
+    hash leaves out."""
+    return {
+        "config_sha256": _config_hash(resolved), **extra,
+        "xbarbnn_version": __version__, "numpy_version": np.__version__,
+    }
 
 
 def _write_text(path, text: str) -> None:
@@ -350,7 +359,7 @@ def cmd_infer(args) -> int:
         "ref_distance": distance, "crossbar": f"{geometry.rows}x{geometry.cols}",
         "seed": seed, "samples": int(report.samples),
     }
-    payload = {"meta": {"config_sha256": _config_hash(resolved), **resolved}}
+    payload = {"meta": _meta(resolved, **resolved)}
     payload.update(report.to_dict())
     _dump_json(args.out, payload)
     return 0
@@ -381,7 +390,7 @@ def cmd_cost(args) -> int:
         "params": params.to_dict(),
     }
     payload = {
-        "meta": {"config_sha256": _config_hash(resolved), "refs": refs_count},
+        "meta": _meta(resolved, refs=refs_count),
         "proposed": proposed.to_dict(),
         "baseline": baseline.to_dict(),
         "comparison": comp.to_dict(),
@@ -451,7 +460,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # bad configuration or input file
+    except (ValueError, OSError) as err:  # bad configuration, missing or unreadable input file
         print(f"xbarbnn {args.command}: {err}", file=sys.stderr)
         return 2
 

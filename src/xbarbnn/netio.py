@@ -1,6 +1,8 @@
 """Network topology descriptions, weight/dataset containers, and the
 end-to-end inference runner that compares the crossbar execution against the
-exact software model.
+exact software model. The two chains share the non-binarized prefix (the
+u8 x i8 first layer and any pool after it), which runs once, and diverge at
+the first binarized weight layer.
 
 Topology grammar ("-" separated tokens):
     "5x5,6"     conv, 5x5 kernel, 6 output channels
@@ -13,6 +15,7 @@ weight layer whose fan-in is inferred from the previous layer.
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 import zlib
@@ -377,12 +380,41 @@ class InferenceReport:
         }
 
 
+# float32 represents every integer of magnitude up to 2^24 exactly.
+_FLOAT32_EXACT = 1 << 24
+
+
+def _gemm_dtype(bound: int | None, fan_in: int) -> type:
+    """BLAS dtype for an exact integer product whose operand products are at
+    most `bound` in magnitude.
+
+    When bound * fan_in <= 2^24, every partial sum of a dot product is an
+    integer of magnitude at most 2^24, so float32 adds without rounding in any
+    summation order and the product is exact; otherwise float64 (exact below
+    2^53). Bounds: 1 for +-1 operands (every binarized layer gets float32);
+    255 * 128 for uint8 pixels times int8 weights (128, not 127, because
+    `WeightContainer.load` accepts -128), which keeps the first convs of
+    lenet-5, cnn-1 and cnn-2 (fan-in 25, 25, 49) in float32 and the MLPs'
+    784-wide first layer in float64. `None` (no known bound) means float64.
+    """
+    return np.float32 if bound is not None and bound * fan_in <= _FLOAT32_EXACT else np.float64
+
+
+def _pixel_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Exact integer dot products of pixel rows with int8 weight rows, as
+    floats; only uint8 pixels have a bound that allows float32."""
+    dtype = _gemm_dtype(255 * 128 if a.dtype == np.uint8 else None, a.shape[1])
+    return a.astype(dtype) @ w.astype(dtype).T
+
+
 def _signed_matmul(a_bits: np.ndarray, w_bits: np.ndarray) -> np.ndarray:
-    """Exact signed dot products of bit matrices via float64 BLAS; values are
-    integers far below 2^53 so the rounding is lossless."""
-    a = a_bits.astype(np.float64) * 2.0 - 1.0
-    w = w_bits.astype(np.float64) * 2.0 - 1.0
-    return np.rint(a @ w.T).astype(np.int64)
+    """Exact signed dot products of bit matrices (bits b as 2b - 1)."""
+    dtype = _gemm_dtype(1, a_bits.shape[1])
+    a, w = a_bits.astype(dtype), w_bits.astype(dtype)
+    for m in (a, w):  # in place: no float temporaries
+        m *= 2
+        m -= 1
+    return (a @ w.T).astype(np.int64)
 
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -415,19 +447,32 @@ def _fc_bits_crossbar(a_bits: np.ndarray, w_bits: np.ndarray, backend: CrossbarB
 
 
 def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
-    b, c, h, w = x.shape
-    v = x[:, :, : h - h % size, : w - w % size]
-    v = v.reshape(b, c, h // size, size, w // size, size)
-    return v.max(axis=(3, 5))
+    """Max over non-overlapping size x size windows of (B, C, H, W), ragged
+    edges dropped: the OR of bits, the max of pixels. Taken over strided
+    slices, first the rows, then the columns."""
+    h, w = x.shape[2] - x.shape[2] % size, x.shape[3] - x.shape[3] % size
+    rows = functools.reduce(np.maximum, [x[:, :, i:h:size] for i in range(size)])
+    return functools.reduce(np.maximum, [rows[:, :, :, j:w:size] for j in range(size)])
 
 
-def _forward(net, weights, images, mode, backend, tie_high):
-    """Run the whole net; returns (scores, list of activation bit tensors)."""
+def _shared_prefix_end(net: NetworkSpec) -> int:
+    """Index in `net.layers` of the first binarized weight layer. The layers
+    before it (the non-binarized first layer and any pool after it) are the
+    same in both chains; with no binarized layer it is the whole net."""
+    return next(
+        (i for i, l in enumerate(net.layers) if not isinstance(l, PoolLayer) and l.binarized),
+        len(net.layers),
+    )
+
+
+def _forward(net, weights, x, start, stop, mode, backend, tie_high):
+    """Run `net.layers[start:stop]` on the activations `x` entering layer
+    `start`; returns (output, activation bit tensor of each weight layer
+    run). The final weight layer outputs its raw class scores."""
     acts = []
-    x = images
     n_weight = len(net.weight_layers)
-    wi = 0
-    for layer in net.layers:
+    wi = sum(not isinstance(l, PoolLayer) for l in net.layers[:start])
+    for layer in net.layers[start:stop]:
         if isinstance(layer, PoolLayer):
             x = _pool_or(x, layer.size)
             continue
@@ -437,9 +482,7 @@ def _forward(net, weights, images, mode, backend, tie_high):
         w = weights.arrays[wi].reshape(layer.weight_shape[0], -1)
         wi += 1
         if not layer.binarized:
-            # u8 pixels x i8 weights: magnitudes stay far below 2^53, so the
-            # float64 BLAS product is exact
-            bits = np.rint(a.astype(np.float64) @ w.astype(np.float64).T) >= 0
+            bits = _pixel_matmul(a, w) >= 0
         elif wi == n_weight:
             return _signed_matmul(a, w), acts  # raw class scores, no thresholding
         elif mode == "golden":
@@ -453,6 +496,10 @@ def _forward(net, weights, images, mode, backend, tie_high):
     return x, acts
 
 
+# Images per pass through the chains: bounds peak memory for any dataset size.
+_CHUNK = 1024
+
+
 def run_inference(
     net: NetworkSpec,
     weights: WeightContainer,
@@ -463,21 +510,36 @@ def run_inference(
 ) -> InferenceReport:
     """Classify a batch and report accuracy plus, for the crossbar backend,
     the per-layer fraction of activation bits that differ from the exact
-    software chain (both chains run independently end to end)."""
+    software chain. The chains share the non-binarized prefix (mismatch 0)
+    and run independently from the first binarized layer on. Images pass in
+    chunks of `_CHUNK`; integer counts are summed over chunks and divided
+    once, so the report does not depend on the chunk size."""
     weights.validate(net)
+    if len(images) != len(labels) or not len(labels):
+        raise ValueError(f"{len(images)} images vs {len(labels)} labels: need one label per image, and an image")
     if images.ndim == 3:
         images = images[:, None, :, :]
-    golden_scores, golden_acts = _forward(net, weights, images, "golden", None, tie_high)
-    golden_acc = float((golden_scores.argmax(axis=1) == labels).mean())
+    split = _shared_prefix_end(net)
+    golden_correct = correct = 0
+    mismatched = total = 0  # become per-activation-layer arrays at the first chunk
+    for lo in range(0, len(labels), _CHUNK):
+        chunk_labels = labels[lo : lo + _CHUNK]
+        x, shared = _forward(net, weights, images[lo : lo + _CHUNK], 0, split, "golden", None, tie_high)
+        scores, golden_acts = _forward(net, weights, x, split, None, "golden", None, tie_high)
+        golden_correct += int((scores.argmax(axis=1) == chunk_labels).sum())
+        if backend == "golden":
+            continue
+        scores, acts = _forward(net, weights, x, split, None, "crossbar", backend, tie_high)
+        correct += int((scores.argmax(axis=1) == chunk_labels).sum())
+        diffs = [int((g != c).sum()) for g, c in zip(golden_acts, acts)]
+        mismatched += np.array([0] * len(shared) + diffs, dtype=np.int64)
+        total += np.array([a.size for a in shared + acts], dtype=np.int64)
+    n = len(labels)
     if backend == "golden":
-        return InferenceReport("golden", len(labels), golden_acc, golden_acc, ())
-
-    scores, acts = _forward(net, weights, images, "crossbar", backend, tie_high)
-    acc = float((scores.argmax(axis=1) == labels).mean())
-    labels_mismatch = []
+        return InferenceReport("golden", n, golden_correct / n, golden_correct / n, ())
     names = [type(l).__name__ for l in net.weight_layers]
-    for i, (g, c) in enumerate(zip(golden_acts, acts)):
-        labels_mismatch.append((f"{i}:{names[i]}", float((g != c).mean())))
-    return InferenceReport(
-        f"crossbar/{backend.policy_kind}", len(labels), acc, golden_acc, tuple(labels_mismatch)
+    layer_mismatch = tuple(
+        (f"{i}:{names[i]}", int(m) / int(t)) for i, (m, t) in enumerate(zip(mismatched, total))
     )
+    kind = f"crossbar/{backend.policy_kind}"
+    return InferenceReport(kind, n, correct / n, golden_correct / n, layer_mismatch)

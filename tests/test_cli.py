@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from xbarbnn.cli import main
+import xbarbnn
+from xbarbnn.cli import _config_hash, main
 
 BAD_CONFIGS = [
     # the 520-wide layer splits 512+8; distance 16 does not fit 8 bits
@@ -13,13 +15,22 @@ BAD_CONFIGS = [
     (["infer", "--network", "lenet-5", "--crossbar", "512", "--synthetic", "4", "--seed", "1"], "bad crossbar geometry"),
     (["loss-sweep", "--nu", "8", "--x-grid", "9", "--seed", "1"], "references outside"),
     (["cost", "--network", "nope"], "unknown network"),
+    # missing input files (relative names that no test creates)
+    (["infer", "--network", "lenet-5", "--weights", "missing.xbw", "--synthetic", "4"], "missing.xbw"),
+    (["infer", "--network", "lenet-5", "--images", "missing-images.idx", "--labels", "missing-labels.idx",
+      "--seed", "1"], "missing-images.idx"),
+    (["infer", "--config", "missing-config.json"], "missing-config.json"),
+    (["cost", "--network", "lenet-5", "--params", "missing-params.json"], "missing-params.json"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, reason",
     BAD_CONFIGS,
-    ids=["tail-512+8", "lenet5-64x64", "unknown-token", "bad-geometry", "refs-outside-segment", "unknown-network"],
+    ids=[
+        "tail-512+8", "lenet5-64x64", "unknown-token", "bad-geometry", "refs-outside-segment", "unknown-network",
+        "missing-weights", "missing-images", "missing-config", "missing-params",
+    ],
 )
 def test_bad_configuration_is_one_line_and_exit_2(capsys, argv, reason):
     assert main(argv) == 2
@@ -33,3 +44,18 @@ def test_single_layer_network_reports_its_one_activation_layer(capsys):
     assert main(["infer", "--topology", "FC(784) - FC(10)", "--synthetic", "4", "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [m["layer"] for m in report["layer_mismatch"]] == ["0:FCLayer"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["infer", "--network", "lenet-5", "--synthetic", "4", "--seed", "1"], ["cost", "--network", "lenet-5"]],
+    ids=["infer", "cost"],
+)
+def test_meta_carries_versions_outside_the_config_hash(capsys, argv):
+    assert main(argv) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert meta["xbarbnn_version"] == xbarbnn.__version__
+    assert meta["numpy_version"] == np.__version__
+    resolved = {k: v for k, v in meta.items() if k not in ("config_sha256", "xbarbnn_version", "numpy_version")}
+    if argv[0] == "infer":  # infer's meta is the hashed dict itself
+        assert meta["config_sha256"] == _config_hash(resolved)

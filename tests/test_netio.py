@@ -4,7 +4,19 @@ import pytest
 from xbarbnn.bincore import BinaryTensor
 from xbarbnn.cascade import POLICY_KINDS, CascadePolicy
 from xbarbnn.crossbar import CrossbarConfig, ReferenceSet, layer_forward, map_weights, segment_lengths
-from xbarbnn.netio import CrossbarBackend, _fc_bits_crossbar
+from xbarbnn import netio
+from xbarbnn.netio import (
+    ConvLayer,
+    CrossbarBackend,
+    PoolLayer,
+    WeightContainer,
+    _fc_bits_crossbar,
+    _pixel_matmul,
+    _pool_or,
+    named_network,
+    parse_topology,
+    run_inference,
+)
 
 
 @pytest.mark.parametrize(
@@ -35,3 +47,154 @@ def test_batched_chain_equals_per_neuron_layer_forward(rng, fan_in, kind, count,
     want = [[layer_forward(BinaryTensor.from_bits(row), g, refs, policy) for g in groups] for row in a]
     assert got.dtype == np.uint8
     assert got.tolist() == want
+
+
+def reshape_max_pool(x: np.ndarray, size: int) -> np.ndarray:
+    b, c, h, w = x.shape
+    v = x[:, :, : h - h % size, : w - w % size].reshape(b, c, h // size, size, w // size, size)
+    return v.max(axis=(3, 5))
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("hw", [(7, 9), (8, 8)])
+@pytest.mark.parametrize("high", [2, 256], ids=["bits", "pixels"])
+def test_pool_or_equals_reshape_max(rng, size, hw, high):
+    x = rng.integers(0, high, (3, 2) + hw, dtype=np.uint8)
+    got = _pool_or(x, size)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, reshape_max_pool(x, size))
+
+
+def test_pixel_gemm_is_exact_above_the_float32_bound(monkeypatch):
+    a = np.full((1, 783), 255, np.uint8)
+    w = np.full((1, 783), 127, np.int8)
+    assert int(_pixel_matmul(a, w)[0, 0]) == 25_357_455  # 255 * 127 * 783: odd, above 2^24
+    monkeypatch.setattr(netio, "_FLOAT32_EXACT", 1 << 62)  # float32 at any fan-in
+    assert int(_pixel_matmul(a, w)[0, 0]) != 25_357_455  # float32 holds no odd integer above 2^24
+
+
+@pytest.mark.parametrize("fan_in, dtype", [(514, np.float32), (515, np.float64)])
+def test_pixel_gemm_dtype_switches_at_the_bound(fan_in, dtype):
+    # 255 * 128 * 514 <= 2^24 < 255 * 128 * 515 (255 * 127 * 515 is below it)
+    a = np.full((1, fan_in), 255, np.uint8)
+    w = np.full((1, fan_in), -128, np.int8)
+    got = _pixel_matmul(a, w)
+    assert got.dtype == dtype
+    assert int(got[0, 0]) == -255 * 128 * fan_in
+
+
+def test_pixel_gemm_of_other_image_dtypes_is_float64():
+    got = _pixel_matmul(np.full((1, 4), 255, np.int64), np.full((1, 4), 127, np.int8))
+    assert got.dtype == np.float64
+
+
+def reference_forward(net, weights, images):
+    """int64 reference: im2col per window, reshape-max pool, sign threshold
+    (zero counts as 1 after the pixel layer, as 0 after a +-1 layer).
+    Returns (raw class scores, activation bits of every thresholded layer)."""
+    x = images[:, None]
+    acts = []
+    arrays = iter(weights.arrays)
+    for layer in net.layers:
+        if isinstance(layer, PoolLayer):
+            x = reshape_max_pool(x, layer.size)
+            continue
+        x, w = x.astype(np.int64), next(arrays).astype(np.int64).reshape(layer.weight_shape[0], -1)
+        if layer.binarized:
+            x, w = 2 * x - 1, 2 * w - 1
+        if isinstance(layer, ConvLayer):
+            k, oh, ow = layer.kernel, layer.out_h, layer.out_w
+            cols = np.stack(
+                [x[:, :, r : r + k, q : q + k].reshape(len(x), -1) for r in range(oh) for q in range(ow)], axis=1
+            )
+            dot = (cols @ w.T).reshape(len(x), oh, ow, -1).transpose(0, 3, 1, 2)
+        else:
+            dot = x.reshape(len(x), -1) @ w.T
+        if layer is net.weight_layers[-1]:
+            return dot, acts
+        x = (dot > 0 if layer.binarized else dot >= 0).astype(np.uint8)
+        acts.append(x)
+    raise AssertionError("network ends in a pool")
+
+
+@pytest.mark.parametrize("backend", ["golden", "crossbar"])
+def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypatch, backend):
+    net = parse_topology("3x3,4 - 2x2 Pool - 3x3,4 - 2x2 Pool - FC(10)", input_h=12, input_w=12)
+    weights = WeightContainer.random(net, 7)
+    images = rng.integers(0, 256, (16, 12, 12), dtype=np.uint8)
+    want_scores, want_acts = reference_forward(net, weights, images)
+    if backend == "crossbar":
+        # fan-ins 36 and 4 fit one 512-row segment, where the SA reads the
+        # exact majority: the crossbar chain must equal the reference too
+        backend = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
+
+    calls = []
+    real = netio._forward
+
+    def recording(*args):
+        out = real(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(netio, "_forward", recording)
+    report = run_inference(net, weights, images, want_scores.argmax(axis=1), backend)
+
+    (_, shared), *suffixes = calls  # the prefix runs once for both chains
+    assert len(shared) == 1 and len(suffixes) == (1 if backend == "golden" else 2)
+    for scores, acts in suffixes:
+        assert scores.dtype == np.int64
+        assert np.array_equal(scores, want_scores)
+        got = shared + acts
+        assert len(got) == len(want_acts)
+        for g, want in zip(got, want_acts):
+            assert g.dtype == np.uint8 and np.array_equal(g, want)
+    assert report.golden_accuracy == report.accuracy == 1.0
+    assert [m for _, m in report.layer_mismatch] == ([] if backend == "golden" else [0.0, 0.0])
+
+
+def _lenet5_run(n, backend):
+    net = named_network("lenet-5")
+    rng = np.random.default_rng(3)
+    images = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, n, dtype=np.uint8)
+    return run_inference(net, WeightContainer.random(net, 2), images, labels, backend)
+
+
+# 128-row arrays split lenet-5's fan-ins 150 and 400 (128+22, 128*3+16), so
+# the crossbar chain really mismatches
+SPLIT_BACKEND = CrossbarBackend(CrossbarConfig(128, 128), ReferenceSet(128, 4, 3), "F2")
+
+
+@pytest.mark.parametrize("backend", ["golden", SPLIT_BACKEND], ids=["golden", "crossbar"])
+def test_report_does_not_depend_on_the_chunk_size(monkeypatch, backend):
+    whole = _lenet5_run(20, backend).to_dict()
+    monkeypatch.setattr(netio, "_CHUNK", 7)
+    assert _lenet5_run(20, backend).to_dict() == whole
+    if backend != "golden":
+        assert any(m["mismatch"] > 0 for m in whole["layer_mismatch"])
+
+
+@pytest.mark.parametrize("name, dtype", [("lenet-5", np.float32), ("mlp-s", np.float64)])
+def test_first_layer_gemm_runs_once_per_chunk(monkeypatch, name, dtype):
+    dtypes = []
+    real = netio._pixel_matmul
+
+    def recording(a, w):
+        out = real(a, w)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(netio, "_pixel_matmul", recording)
+    monkeypatch.setattr(netio, "_CHUNK", 7)
+    net = named_network(name)
+    images = np.random.default_rng(5).integers(0, 256, (20, 28, 28), dtype=np.uint8)
+    backend = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
+    run_inference(net, WeightContainer.random(net, 1), images, np.zeros(20, np.uint8), backend)
+    assert dtypes == [dtype] * 3  # 20 images in chunks of 7
+
+
+def test_run_inference_rejects_unpaired_labels():
+    net = named_network("mlp-s")
+    images = np.zeros((4, 28, 28), np.uint8)
+    with pytest.raises(ValueError, match="4 images vs 3 labels"):
+        run_inference(net, WeightContainer.random(net, 1), images, np.zeros(3, np.uint8))
