@@ -27,7 +27,7 @@ from .crossbar import (
     sa_read_batch,
     segment_lengths,
 )
-from .dataflow import ConvShape, ConvWindowBuffer, TransactionLog, layout_kernels, run_layer
+from .dataflow import ConvLayer, ConvWindowBuffer, TransactionLog, layout_kernels, run_layer
 from .netio import (
     CrossbarBackend,
     DatasetSource,

@@ -199,17 +199,13 @@ def enumerate_loss(vector_size: int, segment: int, policy: CascadePolicy) -> Los
     golden = 2 * (m + n) > vector_size
     out = decide_counts(policy.kind, (m, n), (segment, seg2), policy.refs)
 
-    weights_m = [pair_count(segment, int(v)) for v in range(segment + 1)]
-    weights_n = [pair_count(seg2, int(v)) for v in range(seg2 + 1)]
-    fp = fn = 0
-    for i in range(m.size):  # python ints: counts overflow int64 past nu ~ 30
-        if out[i] == golden[i]:
-            continue
-        w = weights_m[int(m[i])] * weights_n[int(n[i])]
-        if out[i]:
-            fp += w
-        else:
-            fn += w
+    # python-int weights: pair counts overflow int64 past nu ~ 30
+    wm = np.array([pair_count(segment, v) for v in range(segment + 1)], dtype=object)
+    wn = np.array([pair_count(seg2, v) for v in range(seg2 + 1)], dtype=object)
+    cells = (segment + 1, seg2 + 1)
+    fp, fn = (
+        int(wm @ mask.reshape(cells).astype(object) @ wn) for mask in (out & ~golden, golden & ~out)
+    )
     total = (1 << (2 * segment)) * (1 << (2 * seg2))
     return LossRegionReport(total, fp + fn, fp, fn)
 

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bincore, cascade, costmodel, crossbar, netio
+from . import __version__, bincore, cascade, costmodel, crossbar, dataflow, netio
 
 EXACT_NU_GRID = (8, 10, 12, 14, 16, 18, 20)
 DEFAULT_X_GRID = (1, 2, 4, 8, 16, 24, 32, 48, 64, 96)
@@ -143,7 +143,35 @@ def run_verification(nu_max: int = 10, progress=print) -> list[str]:
             if report.mismatches != raw:
                 ok = False
     check("pair-count census == raw exhaustive walk", ok, "cmd_verify census suite")
+
+    # the conv dataflow equals an im2col signed dot, and its transaction log
+    # equals the closed-form bus words
+    rng = np.random.default_rng(2)
+    dots_ok = words_ok = True
+    for ch, h, w, k, stride, pw in DATAFLOW_CASES:
+        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+        x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
+        kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
+        want = netio._signed_matmul(netio._im2col(x[None], layer), kernels.reshape(layer.out_channels, -1))
+        want = want.T.reshape(layer.out_channels, layer.out_h, layer.out_w)
+        for bus, bits in itertools.product((1, 32), (1, 8)):
+            dots, log = dataflow.run_layer(x, kernels, None, pw, bits, bus, stride)
+            dots_ok &= np.array_equal(dots, want)
+            words_ok &= log.words_streamed == dataflow.streamed_words_per_layer(layer, bits, bus, pw)
+    shapes = " ".join("c{}h{}w{}k{}s{}pw{:d}".format(*case) for case in DATAFLOW_CASES)
+    check(f"conv dataflow == im2col signed dot, {shapes}", dots_ok, "cmd_verify dataflow suite")
+    check("logged bus words == closed form, bus widths 1/32, bit widths 1/8", words_ok,
+          "cmd_verify dataflow suite")
     return failures
+
+
+# (channels, height, width, kernel, stride, parallel_window): odd and even
+# windows per row at strides 1 and 2, and parallel_window over an odd, an
+# even and a single window per row
+DATAFLOW_CASES = (
+    (3, 9, 11, 3, 1, False), (3, 9, 10, 3, 1, False), (3, 11, 11, 3, 2, False), (3, 11, 13, 3, 2, False),
+    (3, 9, 11, 3, 1, True), (3, 9, 10, 3, 1, True), (2, 5, 3, 3, 1, True),
+)
 
 
 # two equal even halves (the paper's case), odd halves, unequal two-way
@@ -255,7 +283,10 @@ def cmd_loss_sweep(args) -> int:
         "samples": samples, "sigma": sigma, "seed": seed,
         "x_grid": list(x_grid) if x_grid else None, "ref_counts": list(ref_counts),
     }
-    header = [f"config_sha256={_config_hash(resolved)}", f"seed={seed}"]
+    header = [
+        f"config_sha256={_config_hash(resolved)}", f"seed={seed}",
+        f"xbarbnn_version={__version__}", f"numpy_version={np.__version__}",
+    ]
 
     if mode == "exact":
         rows = []

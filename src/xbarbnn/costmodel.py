@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from . import dataflow
-from .crossbar import segment_lengths
-from .netio import ConvLayer, FCLayer, NetworkSpec, PoolLayer
+from .crossbar import CrossbarConfig, segment_lengths
+from .dataflow import ConvLayer, streamed_words_per_layer
+from .netio import NetworkSpec
 
 DISCLAIMER = (
     "Device energies are configurable placeholders; absolute improvement "
@@ -171,61 +171,42 @@ class _LayerGeom:
     bit_planes: int  # input quantization: 1 for binary activations
     transfer_words: int
     non_binarized: bool
+    splits: int  # column segments per output on a default array
+    instances: int  # default arrays holding every output's segments
 
 
 def _geometry(net: NetworkSpec, params: CostParams) -> list[_LayerGeom]:
+    # binary max pooling is an OR gate in the periphery; negligible
+    cfg = CrossbarConfig()
     geoms = []
-    idx = 0
-    for layer in net.layers:
-        if isinstance(layer, PoolLayer):
-            continue  # binary max is an OR gate in the periphery; negligible
+    for idx, layer in enumerate(net.weight_layers):
         planes = 1 if layer.binarized else params.input_bit_planes
         if isinstance(layer, ConvLayer):
-            shape = dataflow.ConvShape(
-                layer.in_channels, layer.out_channels, layer.input_h, layer.input_w, layer.kernel
-            )
-            words = dataflow.streamed_words_per_layer(shape, planes, params.bus_width_bits)
-            geom = _LayerGeom(
-                f"{idx}:conv{layer.kernel}x{layer.kernel}x{layer.out_channels}",
-                shape.out_h * shape.out_w,
-                layer.out_channels,
-                layer.fan_in,
-                planes,
-                words,
-                not layer.binarized,
-            )
+            label = f"{idx}:conv{layer.kernel}x{layer.kernel}x{layer.out_channels}"
+            windows, outputs = layer.out_h * layer.out_w, layer.out_channels
+            words = streamed_words_per_layer(layer, planes, params.bus_width_bits)
         else:
+            label = f"{idx}:fc{layer.out_features}"
+            windows, outputs = 1, layer.out_features
             words = -(-layer.in_features * planes // params.bus_width_bits)
-            geom = _LayerGeom(
-                f"{idx}:fc{layer.out_features}",
-                1,
-                layer.out_features,
-                layer.in_features,
-                planes,
-                words,
-                not layer.binarized,
+        splits = len(segment_lengths(layer.fan_in, cfg.rows))
+        geoms.append(
+            _LayerGeom(
+                label, windows, outputs, layer.fan_in, planes, words, not layer.binarized,
+                splits, -(-outputs * splits // cfg.cols),
             )
-        geoms.append(geom)
-        idx += 1
+        )
     return geoms
 
 
-def estimate_proposed(
-    net: NetworkSpec,
-    params: CostParams,
-    sa_reference_count: int = 1,
-    crossbar_rows: int = 512,
-    crossbar_cols: int = 512,
-) -> CostReport:
+def estimate_proposed(net: NetworkSpec, params: CostParams, sa_reference_count: int = 1) -> CostReport:
     """All columns of a window evaluate in one array read; each column needs
     one SA comparison cycle per reference. Data transfer is pipelined with
     compute, so it costs energy but no serial cycles. Conv layers are
-    costed at stride 1 with parallel_window=False: one window per array
-    read, bus words from `dataflow.streamed_words_per_layer`."""
+    costed with parallel_window=False: one window per array read at the
+    layer's stride, bus words from `dataflow.streamed_words_per_layer`."""
     layers = []
     for g in _geometry(net, params):
-        splits = len(segment_lengths(g.fan_in, crossbar_rows))
-        instances = -(-g.outputs * splits // crossbar_cols)
         reads = g.windows * g.bit_planes
         if g.non_binarized:
             # bit-serial input feed; digitization folded into the shift-add
@@ -240,7 +221,7 @@ def estimate_proposed(
                 params.crossbar_read_latency_cycles
                 + sa_reference_count * params.sa_cycle_per_reference
             )
-            e_sa = reads * g.outputs * splits * sa_reference_count * params.sa_compare_energy_j
+            e_sa = reads * g.outputs * g.splits * sa_reference_count * params.sa_compare_energy_j
             e_digital = 0.0
         layers.append(
             LayerCost(
@@ -248,9 +229,9 @@ def estimate_proposed(
                 g.windows,
                 g.outputs,
                 g.fan_in,
-                splits,
-                instances,
-                reads * instances * params.crossbar_read_energy_j,
+                g.splits,
+                g.instances,
+                reads * g.instances * params.crossbar_read_energy_j,
                 e_sa,
                 e_digital,
                 g.transfer_words * params.transfer_word_energy_j,
@@ -260,27 +241,20 @@ def estimate_proposed(
     return CostReport("proposed", net.name, sa_reference_count, tuple(layers), params.clock_hz)
 
 
-def estimate_baseline(
-    net: NetworkSpec,
-    params: CostParams,
-    crossbar_rows: int = 512,
-    crossbar_cols: int = 512,
-) -> CostReport:
+def estimate_baseline(net: NetworkSpec, params: CostParams) -> CostReport:
     """Differential sensing reads outputs sequentially; a popcount unit per
     column group digitizes each pass, so latency grows with the output count
     and the array is activated once per group pass."""
     layers = []
     for g in _geometry(net, params):
-        splits = len(segment_lengths(g.fan_in, crossbar_rows))
-        instances = -(-g.outputs * splits // crossbar_cols)
         passes = -(-g.outputs // params.baseline_popcount_group)
         per_window = g.bit_planes * (
-            g.outputs * splits * params.baseline_sense_cycles_per_output
+            g.outputs * g.splits * params.baseline_sense_cycles_per_output
             + passes * params.popcount_unit_latency_cycles
             + (params.shift_add_latency_cycles if g.non_binarized else 0)
         )
         reads = g.windows * g.bit_planes * passes
-        e_sa = g.windows * g.bit_planes * g.outputs * splits * params.sa_compare_energy_j
+        e_sa = g.windows * g.bit_planes * g.outputs * g.splits * params.sa_compare_energy_j
         e_digital = g.windows * g.bit_planes * g.outputs * params.popcount_unit_energy_j
         if g.non_binarized:
             e_digital += g.windows * g.bit_planes * g.outputs * params.shift_add_energy_j
@@ -290,8 +264,8 @@ def estimate_baseline(
                 g.windows,
                 g.outputs,
                 g.fan_in,
-                splits,
-                instances,
+                g.splits,
+                g.instances,
                 reads * params.crossbar_read_energy_j,
                 e_sa,
                 e_digital,

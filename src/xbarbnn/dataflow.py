@@ -1,6 +1,10 @@
-"""Column-sliced convolution mapping: kernels live in crossbar columns, the
-input buffer holds the operating window as per-column channel packs, and a
-slide replaces exactly one pack instead of re-streaming the whole window.
+"""Conv geometry and the column-sliced convolution mapping.
+
+`ConvLayer` is the one conv-geometry type: the topology parser, the
+inference engine, this dataflow and the cost model all read it. In the
+mapping, kernels live in crossbar columns, the input buffer holds the
+operating window as per-column channel packs, and a slide replaces exactly
+one pack instead of re-streaming the whole window.
 
 A pack is one window column across all input channels (channel-major,
 kernel_k rows each). Kernels never get reprogrammed while a layer runs; an
@@ -18,21 +22,25 @@ from .crossbar import CrossbarConfig
 
 
 @dataclass(frozen=True)
-class ConvShape:
+class ConvLayer:
+    """Valid (unpadded) k x k convolution of a C x H x W input at `stride`.
+    `binarized=False` marks the quantized layer that reads raw pixels."""
+
     in_channels: int
     out_channels: int
     input_h: int = 28
     input_w: int = 28
     kernel: int = 5
     stride: int = 1
+    binarized: bool = True
 
     def __post_init__(self):
-        if self.kernel > self.input_h or self.kernel > self.input_w:
-            raise ValueError("kernel larger than input")
+        if self.kernel < 1 or min(self.in_channels, self.out_channels) < 1:
+            raise ValueError("degenerate conv")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if min(self.in_channels, self.out_channels) < 1:
-            raise ValueError("channel counts must be positive")
+        if self.kernel > self.input_h or self.kernel > self.input_w:
+            raise ValueError(f"kernel exceeds {self.input_h}x{self.input_w} input")
 
     @property
     def out_h(self) -> int:
@@ -47,31 +55,33 @@ class ConvShape:
         return self.in_channels * self.kernel
 
     @property
-    def window_bits(self) -> int:
+    def fan_in(self) -> int:
         return self.in_channels * self.kernel * self.kernel
+
+    @property
+    def weight_shape(self) -> tuple:
+        return (self.out_channels, self.in_channels, self.kernel, self.kernel)
+
+
+ConvShape = ConvLayer  # earlier name, kept for positional callers
 
 
 @dataclass
 class TransactionLog:
-    """Bus and array activity counters for one layer traversal."""
+    """Bus words streamed during one layer traversal."""
 
     bus_width_bits: int = 32
-    bits_streamed: int = 0
     words_streamed: int = 0
-    slides: int = 0
-    wraps: int = 0
 
     def stream(self, bits: int, bit_width: int = 1):
-        payload = bits * bit_width
-        self.bits_streamed += payload
-        self.words_streamed += -(-payload // self.bus_width_bits)
+        self.words_streamed += -(-bits * bit_width // self.bus_width_bits)
 
 
-def _check_window(shape: ConvShape, parallel_window: bool) -> None:
+def _check_window(layer: ConvLayer, parallel_window: bool) -> None:
     # the lookahead pack holds the next window only when windows advance by
     # one input column
-    if parallel_window and shape.stride > 1:
-        raise ValueError(f"parallel_window needs stride 1, got stride {shape.stride}")
+    if parallel_window and layer.stride > 1:
+        raise ValueError(f"parallel_window needs stride 1, got stride {layer.stride}")
 
 
 @dataclass(frozen=True)
@@ -80,17 +90,16 @@ class KernelImage:
 
     columns[:, c] holds the bit pattern, active[:, c] masks the live cells;
     inert cells (logic 0 programming) never contribute to a bitline count.
-    column_owner[c] = (output_channel, window_slot).
+    With `slots` window slots (2 under parallel_window, else 1), column
+    j * slots + slot serves output channel j in that slot.
     """
 
     columns: np.ndarray = field(repr=False)
     active: np.ndarray = field(repr=False)
-    column_owner: tuple
-    rows_used: int
 
 
 def layout_kernels(
-    shape: ConvShape,
+    layer: ConvLayer,
     kernels: np.ndarray,
     cfg: CrossbarConfig,
     parallel_window: bool = False,
@@ -98,42 +107,36 @@ def layout_kernels(
     """Program the column-sliced kernels: one column per output channel, two
     when a lookahead pack enables dual-window evaluation."""
     kernels = np.asarray(kernels, dtype=np.uint8)
-    if kernels.shape != (shape.out_channels, shape.in_channels, shape.kernel, shape.kernel):
+    if kernels.shape != layer.weight_shape:
         raise ValueError(f"kernel tensor shape {kernels.shape} does not match layer")
-    k, pack = shape.kernel, shape.pack_bits
+    k, pack = layer.kernel, layer.pack_bits
     slots = 2 if parallel_window else 1
     rows_used = pack * (k + (1 if parallel_window else 0))
-    cols_used = shape.out_channels * slots
+    cols_used = layer.out_channels * slots
     if rows_used > cfg.rows or cols_used > cfg.cols:
         raise ValueError(f"layer needs {rows_used}x{cols_used} cells on a {cfg.rows}x{cfg.cols} array")
 
     # kernel column c, channel-major: [ch0 rows, ch1 rows, ...]
-    col_packs = [kernels[:, :, :, c].reshape(shape.out_channels, pack) for c in range(k)]
+    col_packs = [kernels[:, :, :, c].reshape(layer.out_channels, pack) for c in range(k)]
     sliced = np.concatenate(col_packs, axis=1)  # (j, k*pack)
 
     columns = np.zeros((rows_used, cols_used), dtype=np.uint8)
     active = np.zeros((rows_used, cols_used), dtype=bool)
-    owners = []
-    for j in range(shape.out_channels):
-        base = j * slots
-        columns[: k * pack, base] = sliced[j]
-        active[: k * pack, base] = True
-        owners.append((j, 0))
-        if parallel_window:
-            columns[pack : (k + 1) * pack, base + 1] = sliced[j]
-            active[pack : (k + 1) * pack, base + 1] = True
-            owners.append((j, 1))
-    return KernelImage(columns, active, tuple(owners), rows_used)
+    for slot in range(slots):  # slot 1 is shifted down by one pack
+        rows = slice(slot * pack, (slot + k) * pack)
+        columns[rows, slot::slots] = sliced.T
+        active[rows, slot::slots] = True
+    return KernelImage(columns, active)
 
 
 class ConvWindowBuffer:
     """Ring of column packs mirroring the crossbar input buffer."""
 
-    def __init__(self, shape: ConvShape, parallel_window: bool = False, bit_width: int = 1):
-        self.shape = shape
+    def __init__(self, layer: ConvLayer, parallel_window: bool = False, bit_width: int = 1):
+        self.layer = layer
         self.parallel_window = parallel_window
         self.bit_width = bit_width
-        self.slots = shape.kernel + (1 if parallel_window else 0)
+        self.slots = layer.kernel + (1 if parallel_window else 0)
         self.head = 0
         self._packs = [None] * self.slots
         self._next_col = 0  # input column the next streamed pack comes from
@@ -141,16 +144,16 @@ class ConvWindowBuffer:
 
     @property
     def capacity(self) -> int:
-        return self.shape.pack_bits * self.slots
+        return self.layer.pack_bits * self.slots
 
     def _pack_at(self, image: np.ndarray, col: int) -> np.ndarray:
         r = self._window_row
-        k = self.shape.kernel
+        k = self.layer.kernel
         return image[:, r : r + k, col].reshape(-1)
 
     def wrap_down(self, image: np.ndarray, window_row: int, log: TransactionLog) -> None:
         """Full refresh at the left edge of a new window row."""
-        if window_row >= self.shape.input_h - self.shape.kernel + 1:
+        if window_row >= self.layer.input_h - self.layer.kernel + 1:
             raise ValueError("wrap below the last window row: layer complete")
         self._window_row = window_row
         self.head = 0
@@ -158,27 +161,25 @@ class ConvWindowBuffer:
             self._packs[i] = self._pack_at(image, i)
         self._next_col = self.slots
         log.stream(self.capacity, self.bit_width)
-        log.wraps += 1
 
     def slide_right(self, image: np.ndarray, log: TransactionLog, packs: int | None = None) -> None:
         """Advance the window: stream in the new right-most pack(s), dropping
         the same number of stale left-most ones."""
-        n = self.shape.stride if packs is None else packs
-        if self._next_col + n > self.shape.input_w:
+        n = self.layer.stride if packs is None else packs
+        if self._next_col + n > self.layer.input_w:
             raise ValueError("slide past the right edge: wrap_down required")
         for _ in range(n):
             self._packs[self.head] = self._pack_at(image, self._next_col)
             self.head = (self.head + 1) % self.slots
             self._next_col += 1
-        log.stream(n * self.shape.pack_bits, self.bit_width)
-        log.slides += 1
+        log.stream(n * self.layer.pack_bits, self.bit_width)
 
     def window_bits(self, slot: int = 0) -> np.ndarray:
         """Current operating window (slot 0) or the lookahead window (slot 1),
         flattened in column-pack order to face the programmed kernel column."""
         if slot and not self.parallel_window:
             raise ValueError("no lookahead window without parallel_window")
-        k = self.shape.kernel
+        k = self.layer.kernel
         out = [self._packs[(self.head + slot + i) % self.slots] for i in range(k)]
         if any(p is None for p in out):
             raise ValueError("buffer not filled; call wrap_down first")
@@ -203,69 +204,55 @@ def run_layer(
     """
     input_bits = np.asarray(input_bits, dtype=np.uint8)
     ch, h, w = input_bits.shape
-    shape = ConvShape(ch, np.asarray(kernels).shape[0], h, w, np.asarray(kernels).shape[2], stride)
-    _check_window(shape, parallel_window)
-    parallel_window = parallel_window and shape.out_w >= 2
-    image = layout_kernels(shape, kernels, cfg or CrossbarConfig(), parallel_window)
-    buf = ConvWindowBuffer(shape, parallel_window, bit_width)
+    layer = ConvLayer(ch, np.asarray(kernels).shape[0], h, w, np.asarray(kernels).shape[2], stride)
+    _check_window(layer, parallel_window)
+    parallel_window = parallel_window and layer.out_w >= 2
+    image = layout_kernels(layer, kernels, cfg or CrossbarConfig(), parallel_window)
+    buf = ConvWindowBuffer(layer, parallel_window, bit_width)
     log = TransactionLog(bus_width_bits)
 
-    n = shape.window_bits
-    kcols = np.stack(
-        [image.columns[image.active[:, c], c] for c in range(image.columns.shape[1])]
-    )  # every column exposes exactly the k*pack live kernel cells
-    slot_of = {owner: c for c, owner in enumerate(image.column_owner)}
+    n = layer.fan_in
+    slots = 2 if parallel_window else 1
+    # every column exposes exactly the n live kernel cells; row c is column c
+    kcols = image.columns.T[image.active.T].reshape(-1, n)
 
-    dots = np.zeros((shape.out_channels, shape.out_h, shape.out_w), dtype=np.int32)
-    for row in range(shape.out_h):
-        buf.wrap_down(input_bits, row * shape.stride, log)
+    dots = np.zeros((layer.out_channels, layer.out_h, layer.out_w), dtype=np.int32)
+    for row in range(layer.out_h):
+        buf.wrap_down(input_bits, row * layer.stride, log)
         left = 0  # window position the buffer's head pack belongs to
         col = 0
-        while col < shape.out_w:
-            dual = parallel_window and col + 1 < shape.out_w
+        while col < layer.out_w:
+            dual = parallel_window and col + 1 < layer.out_w
             # A dangling last window evaluates through the shifted column
             # (slot 1), so the final slide skips the lookahead pack.
             base = 1 if (parallel_window and not dual) else 0
             target = col - base
             if target > left:
-                buf.slide_right(input_bits, log, packs=(target - left) * shape.stride)
+                buf.slide_right(input_bits, log, packs=(target - left) * layer.stride)
                 left = target
             for slot in (base, base + 1) if dual else (base,):
-                win = buf.window_bits(slot)
-                for j in range(shape.out_channels):
-                    matches = int((win == kcols[slot_of[(j, slot)]]).sum())
-                    dots[j, row, col + slot - base] = 2 * matches - n
+                matches = (kcols[slot::slots] == buf.window_bits(slot)).sum(axis=1)
+                dots[:, row, col + slot - base] = 2 * matches - n
             col += 2 if dual else 1
     return dots, log
 
 
-def streamed_bits_per_row(shape: ConvShape, parallel_window: bool = False) -> int:
-    """Closed form for one window row: a full refresh plus one pack (stride
-    packs) per remaining slide."""
-    _check_window(shape, parallel_window)
-    pack = shape.pack_bits
-    refresh = pack * (shape.kernel + (1 if parallel_window else 0))
-    if parallel_window:
-        evals = -(-shape.out_w // 2)
-        return refresh + (evals - 1) * 2 * pack - (pack if shape.out_w % 2 else 0)
-    return refresh + (shape.out_w - 1) * shape.stride * pack
-
-
 def streamed_words_per_layer(
-    shape: ConvShape,
+    layer: ConvLayer,
     bit_width: int = 1,
     bus_width_bits: int = 32,
     parallel_window: bool = False,
 ) -> int:
-    """Bus words for a full layer traversal, with per-event word rounding."""
-    _check_window(shape, parallel_window)
+    """Bus words for a full layer traversal, with per-event word rounding: a
+    full refresh per window row plus one pack (stride packs) per slide."""
+    _check_window(layer, parallel_window)
     word = lambda bits: -(-bits * bit_width // bus_width_bits)
-    pack = shape.pack_bits
-    refresh = word(pack * (shape.kernel + (1 if parallel_window else 0)))
+    pack = layer.pack_bits
+    refresh = word(pack * (layer.kernel + (1 if parallel_window else 0)))
     if parallel_window:
-        evals = -(-shape.out_w // 2)
-        full_slides = evals - 1 - (1 if shape.out_w % 2 else 0)
-        per_row = refresh + full_slides * word(2 * pack) + (word(pack) if shape.out_w % 2 else 0)
+        evals = -(-layer.out_w // 2)
+        full_slides = evals - 1 - (1 if layer.out_w % 2 else 0)
+        per_row = refresh + full_slides * word(2 * pack) + (word(pack) if layer.out_w % 2 else 0)
     else:
-        per_row = refresh + (shape.out_w - 1) * word(shape.stride * pack)
-    return shape.out_h * per_row
+        per_row = refresh + (layer.out_w - 1) * word(layer.stride * pack)
+    return layer.out_h * per_row

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import cascade as _cascade
 from .crossbar import CrossbarConfig, ReferenceSet, sa_read_batch, segment_lengths
+from .dataflow import ConvLayer
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -34,35 +35,8 @@ _WEIGHT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ConvLayer:
-    kernel: int
-    out_channels: int
-    in_channels: int
-    input_h: int
-    input_w: int
-    binarized: bool = True
-
-    @property
-    def out_h(self) -> int:
-        return self.input_h - self.kernel + 1
-
-    @property
-    def out_w(self) -> int:
-        return self.input_w - self.kernel + 1
-
-    @property
-    def fan_in(self) -> int:
-        return self.in_channels * self.kernel * self.kernel
-
-    @property
-    def weight_shape(self) -> tuple:
-        return (self.out_channels, self.in_channels, self.kernel, self.kernel)
-
-
-@dataclass(frozen=True)
 class PoolLayer:
     size: int
-    channels: int
     input_h: int
     input_w: int
 
@@ -102,11 +76,6 @@ class NetworkSpec:
     def weight_layers(self) -> tuple:
         return tuple(l for l in self.layers if not isinstance(l, PoolLayer))
 
-    @property
-    def output_classes(self) -> int:
-        last = self.weight_layers[-1]
-        return last.out_features if isinstance(last, FCLayer) else last.out_channels
-
 
 class TopologyError(ValueError):
     pass
@@ -144,11 +113,10 @@ def parse_topology(
                 raise TopologyError(f"token {pos} {tok!r}: only square kernels supported")
             if flat is not None:
                 raise TopologyError(f"token {pos} {tok!r}: conv after FC")
-            if out_ch < 1 or k1 < 1:
-                raise TopologyError(f"token {pos} {tok!r}: degenerate conv")
-            if k1 > h or k1 > w:
-                raise TopologyError(f"token {pos} {tok!r}: kernel exceeds {h}x{w} input")
-            layers.append(ConvLayer(k1, out_ch, ch, h, w, binarized=not first_weight))
+            try:
+                layers.append(ConvLayer(ch, out_ch, h, w, k1, binarized=not first_weight))
+            except ValueError as err:
+                raise TopologyError(f"token {pos} {tok!r}: {err}") from None
             first_weight = False
             ch, h, w = out_ch, layers[-1].out_h, layers[-1].out_w
         elif m := _POOL_RE.match(tok):
@@ -157,7 +125,7 @@ def parse_topology(
                 raise TopologyError(f"token {pos} {tok!r}: only square pooling supported")
             if flat is not None:
                 raise TopologyError(f"token {pos} {tok!r}: pool after FC")
-            layers.append(PoolLayer(s1, ch, h, w))
+            layers.append(PoolLayer(s1, h, w))
             h, w = layers[-1].out_h, layers[-1].out_w
         elif m := _FC_RE.match(tok):
             n = int(m.group(1))
@@ -417,13 +385,13 @@ def _signed_matmul(a_bits: np.ndarray, w_bits: np.ndarray) -> np.ndarray:
     return (a @ w.T).astype(np.int64)
 
 
-def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, windows, C*k*k), valid windows in row-major order."""
-    b, c, h, w = x.shape
-    oh, ow = h - kernel + 1, w - kernel + 1
-    view = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    # view: (B, C, oh, ow, k, k) -> (B, oh*ow, C*k*k)
-    return view.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kernel * kernel)
+def _im2col(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """(B, C, H, W) -> (B * windows, C*k*k): the layer's valid windows at its
+    stride, row-major per image."""
+    k, s = layer.kernel, layer.stride
+    view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    # view: (B, C, oh, ow, k, k) -> (B*oh*ow, C*k*k)
+    return view.transpose(0, 2, 3, 1, 4, 5).reshape(-1, layer.fan_in)
 
 
 def _fc_bits_golden(a_bits: np.ndarray, w_bits: np.ndarray, tie_high: bool) -> np.ndarray:
@@ -478,7 +446,7 @@ def _forward(net, weights, x, start, stop, mode, backend, tie_high):
             continue
         b = x.shape[0]
         conv = isinstance(layer, ConvLayer)
-        a = _im2col(x, layer.kernel).reshape(-1, layer.fan_in) if conv else x.reshape(b, -1)
+        a = _im2col(x, layer) if conv else x.reshape(b, -1)
         w = weights.arrays[wi].reshape(layer.weight_shape[0], -1)
         wi += 1
         if not layer.binarized:

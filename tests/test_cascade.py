@@ -278,6 +278,25 @@ class TestEnumerateLoss:
         fp, fn = raw_pair_loss(8, "F1", x=1, count=3)
         assert (report.false_positives, report.false_negatives) == (fp, fn)
 
+    @pytest.mark.parametrize("kind", cas.POLICY_KINDS)
+    def test_census_equals_per_cell_big_int_loop(self, kind):
+        # nu=64: pair counts reach 2^128, far past int64
+        nu, seg = 64, 32
+        refs = ReferenceSet(seg, 2, 3) if kind in ("F1", "F2") else ReferenceSet(seg)
+        pol = cas.CascadePolicy(kind, refs)
+        fp = fn = 0
+        for m in range(seg + 1):
+            for n in range(seg + 1):
+                out = bool(cas.decide_counts(kind, ([m], [n]), (seg, seg), refs)[0])
+                w = cas.pair_count(seg, m) * cas.pair_count(seg, n)
+                if out and 2 * (m + n) <= nu:
+                    fp += w
+                elif not out and 2 * (m + n) > nu:
+                    fn += w
+        report = cas.enumerate_loss(nu, seg, pol)
+        assert (report.false_positives, report.false_negatives) == (fp, fn)
+        assert report.total_pairs == 1 << (2 * nu)
+
     def test_by_region_sums_to_mismatches(self):
         pol = cas.CascadePolicy("OR", ReferenceSet(5))
         report = cas.enumerate_loss(10, 5, pol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xbarbnn.dataflow import ConvShape, run_layer, streamed_bits_per_row, streamed_words_per_layer
+from xbarbnn.dataflow import ConvLayer, run_layer, streamed_words_per_layer
 
 
 def im2col_dot(input_bits: np.ndarray, kernels: np.ndarray, stride: int) -> np.ndarray:
@@ -41,19 +41,17 @@ def test_run_layer_equals_im2col(layer):
 @pytest.mark.parametrize("bit_width", [1, 8])
 def test_closed_forms_equal_transaction_log(layer, bit_width):
     x, kernels, stride, pw = layer
-    _, log = run_layer(x, kernels, parallel_window=pw, bit_width=bit_width, stride=stride)
-    shape = ConvShape(x.shape[0], kernels.shape[0], x.shape[1], x.shape[2], kernels.shape[2], stride)
-    assert streamed_bits_per_row(shape, pw) * bit_width * shape.out_h == log.bits_streamed
-    assert streamed_words_per_layer(shape, bit_width, 32, pw) == log.words_streamed
+    conv = ConvLayer(x.shape[0], kernels.shape[0], x.shape[1], x.shape[2], kernels.shape[2], stride)
+    for bus in (1, 32):  # at bus width 1 the words are the streamed bits
+        _, log = run_layer(x, kernels, parallel_window=pw, bit_width=bit_width, bus_width_bits=bus, stride=stride)
+        assert streamed_words_per_layer(conv, bit_width, bus, pw) == log.words_streamed
 
 
 def test_parallel_window_rejects_stride_above_one(rng):
     x = rng.integers(0, 2, (3, 11, 11), dtype=np.uint8)
     kernels = rng.integers(0, 2, (4, 3, 3, 3), dtype=np.uint8)
-    shape = ConvShape(3, 4, 11, 11, 3, 2)
+    layer = ConvLayer(3, 4, 11, 11, 3, 2)
     with pytest.raises(ValueError):
         run_layer(x, kernels, parallel_window=True, stride=2)
     with pytest.raises(ValueError):
-        streamed_bits_per_row(shape, parallel_window=True)
-    with pytest.raises(ValueError):
-        streamed_words_per_layer(shape, parallel_window=True)
+        streamed_words_per_layer(layer, parallel_window=True)

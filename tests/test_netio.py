@@ -8,6 +8,8 @@ from xbarbnn import netio
 from xbarbnn.netio import (
     ConvLayer,
     CrossbarBackend,
+    FCLayer,
+    NetworkSpec,
     PoolLayer,
     WeightContainer,
     _fc_bits_crossbar,
@@ -89,8 +91,9 @@ def test_pixel_gemm_of_other_image_dtypes_is_float64():
 
 
 def reference_forward(net, weights, images):
-    """int64 reference: im2col per window, reshape-max pool, sign threshold
-    (zero counts as 1 after the pixel layer, as 0 after a +-1 layer).
+    """int64 reference: im2col per window at the layer's stride, reshape-max
+    pool, sign threshold (zero counts as 1 after the pixel layer, as 0 after
+    a +-1 layer).
     Returns (raw class scores, activation bits of every thresholded layer)."""
     x = images[:, None]
     acts = []
@@ -103,9 +106,10 @@ def reference_forward(net, weights, images):
         if layer.binarized:
             x, w = 2 * x - 1, 2 * w - 1
         if isinstance(layer, ConvLayer):
-            k, oh, ow = layer.kernel, layer.out_h, layer.out_w
+            k, s, oh, ow = layer.kernel, layer.stride, layer.out_h, layer.out_w
             cols = np.stack(
-                [x[:, :, r : r + k, q : q + k].reshape(len(x), -1) for r in range(oh) for q in range(ow)], axis=1
+                [x[:, :, r * s : r * s + k, q * s : q * s + k].reshape(len(x), -1) for r in range(oh) for q in range(ow)],
+                axis=1,
             )
             dot = (cols @ w.T).reshape(len(x), oh, ow, -1).transpose(0, 3, 1, 2)
         else:
@@ -117,14 +121,26 @@ def reference_forward(net, weights, images):
     raise AssertionError("network ends in a pool")
 
 
-@pytest.mark.parametrize("backend", ["golden", "crossbar"])
-def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypatch, backend):
-    net = parse_topology("3x3,4 - 2x2 Pool - 3x3,4 - 2x2 Pool - FC(10)", input_h=12, input_w=12)
+SMALL_CONV_NET = parse_topology("3x3,4 - 2x2 Pool - 3x3,4 - 2x2 Pool - FC(10)", input_h=12, input_w=12)
+# stride 2, which the topology grammar cannot express: 12x12 -> 5x5 -> 2x2,
+# the last input row and column in no window
+STRIDE_2_NET = NetworkSpec(
+    "stride-2", 1, 12, 12,
+    (ConvLayer(1, 4, 12, 12, 3, 2, binarized=False), ConvLayer(4, 6, 5, 5, 3, 2), FCLayer(24, 10)),
+)
+
+
+@pytest.mark.parametrize(
+    "backend, net",
+    [(b, n) for n in (SMALL_CONV_NET, STRIDE_2_NET) for b in ("golden", "crossbar")],
+    ids=["golden", "crossbar", "golden-stride-2", "crossbar-stride-2"],
+)
+def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypatch, backend, net):
     weights = WeightContainer.random(net, 7)
     images = rng.integers(0, 256, (16, 12, 12), dtype=np.uint8)
     want_scores, want_acts = reference_forward(net, weights, images)
     if backend == "crossbar":
-        # fan-ins 36 and 4 fit one 512-row segment, where the SA reads the
+        # every fan-in fits one 512-row segment, where the SA reads the
         # exact majority: the crossbar chain must equal the reference too
         backend = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
 
