@@ -47,7 +47,7 @@ class CascadePolicy:
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown cascade kind {self.kind!r}")
+            raise ValueError(f"unknown cascade kind {self.kind!r}; known: {', '.join(POLICY_KINDS)}")
         if self.kind in ("F1", "F2") and self.refs.count < 3:
             raise ValueError(f"{self.kind} needs at least one auxiliary reference pair (count >= 3)")
 
@@ -109,8 +109,11 @@ def decide_batch(kind: str, intervals: np.ndarray, lengths, refs: ReferenceSet) 
     lengths: logical length of each segment; the vector size is their sum.
     refs: the reference layout, retargeted to each segment with
     `refs.for_segment`.
-    Returns a boolean array of activation bits.
+    Returns a boolean array of activation bits. Raises ValueError on a
+    kind outside `POLICY_KINDS`.
     """
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown cascade kind {kind!r}; known: {', '.join(POLICY_KINDS)}")
     intervals = np.asarray(intervals)
     mid = (refs.count - 1) // 2
     if kind == "AND":

@@ -118,6 +118,29 @@ def run_verification(nu_max: int = 10, progress=print) -> list[str]:
     shapes = " ".join("+".join(map(str, lengths)) for lengths in CASCADE_SPLITS)
     check(f"F1 sound / F2 complete over all count cells, splits {shapes}", ok, "cmd_verify cascade suite")
 
+    # the table readout equals the scalar comparator at every level of every
+    # segment length the cascade suite walks
+    ok = True
+    for n in sorted(set(itertools.chain(*CASCADE_SPLITS))):
+        for count, x in itertools.product((3, 5), range(1, n)):
+            if _admissible((n,), x, count):
+                refs = crossbar.ReferenceSet(n, x, count)
+                want = [crossbar.sa_read(d, refs).interval_index for d in range(n + 1)]
+                ok &= crossbar.sa_read_batch(np.arange(n + 1), refs).tolist() == want
+    check("table SA readout == scalar sa_read at every level, 3 and 5 references", ok, "cmd_verify readout suite")
+
+    # the blocked pixel GEMM is exact at the float32 block width and past it
+    ok = True
+    for fan_in in PIXEL_FAN_INS:
+        a = np.full((2, fan_in), 255, np.uint8)
+        a[1, ::2] = 0
+        w = np.full((3, fan_in), -128, np.int8)
+        w[1] = 127
+        w[2, 0] = 127  # an odd sum: past 2^24, float32 would round it
+        want = a.astype(np.int64) @ w.astype(np.int64).T
+        ok &= np.array_equal(netio._pixel_matmul(a, w), want)
+    check(f"blocked pixel GEMM == int64 product, fan-ins {PIXEL_FAN_INS}", ok, "cmd_verify pixel GEMM suite")
+
     # the batched inference chain equals the per-vector crossbar model on
     # every split shape k in {1, 2, 3}, unequal tails included
     rng = np.random.default_rng(1)
@@ -213,6 +236,11 @@ def _cascade_guarantees_hold(lengths, x: int, count: int) -> bool:
     some_majority = np.zeros((count + 1) ** len(lengths), dtype=bool)
     np.logical_or.at(some_majority, key, golden)
     return not (f1 & ~golden).any() and (f2 == some_majority[key]).all() and not (f1 & ~f2).any()
+
+
+# one float32 block of 514 columns (255 * 128 * 514 <= 2^24), and one column
+# past one and two blocks
+PIXEL_FAN_INS = (514, 515, 1028, 1029)
 
 
 # (array rows, fan-in): one segment, an unequal two-way and a three-way split

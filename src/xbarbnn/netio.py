@@ -1,8 +1,9 @@
 """Network topology descriptions, weight/dataset containers, and the
 end-to-end inference runner that compares the crossbar execution against the
 exact software model. The two chains share the non-binarized prefix (the
-u8 x i8 first layer and any pool after it), which runs once, and diverge at
-the first binarized weight layer.
+u8 x i8 first layer and any pool after it), which runs once, and the
+product of the first binarized weight layer, which also runs once; they
+diverge at that layer's decisions.
 
 Topology grammar ("-" separated tokens):
     "5x5,6"     conv, 5x5 kernel, 6 output channels
@@ -315,9 +316,14 @@ class CrossbarBackend:
         return _cascade.CascadePolicy(self.policy_kind, self.refs)
 
     def validate(self, net: NetworkSpec) -> None:
-        """Raise ValueError unless the reference layout fits every column
-        segment the crossbar chain senses in `net` (the final layer's raw
-        scores are not sensed)."""
+        """Raise ValueError unless the policy kind is known and the reference
+        layout fits every column segment the crossbar chain senses in `net`
+        (the final layer's raw scores are not sensed). A layer that splits
+        also needs a valid `CascadePolicy`: F1 and F2 need 3 or more
+        references there; a layer that fits one segment reads the main
+        reference alone."""
+        if self.policy_kind not in _cascade.POLICY_KINDS:
+            raise ValueError(f"unknown cascade kind {self.policy_kind!r}; known: {', '.join(_cascade.POLICY_KINDS)}")
         for i, layer in enumerate(net.weight_layers[:-1]):
             if not layer.binarized:
                 continue
@@ -325,6 +331,8 @@ class CrossbarBackend:
             try:
                 for m in lengths:
                     self.refs.for_segment(m)
+                if len(lengths) > 1:
+                    self.policy()
             except ValueError as err:
                 split = "+".join(map(str, lengths))
                 raise ValueError(f"layer {i} (fan-in {layer.fan_in} = {split}): {err}") from None
@@ -352,37 +360,51 @@ class InferenceReport:
 _FLOAT32_EXACT = 1 << 24
 
 
-def _gemm_dtype(bound: int | None, fan_in: int) -> type:
-    """BLAS dtype for an exact integer product whose operand products are at
-    most `bound` in magnitude.
-
-    When bound * fan_in <= 2^24, every partial sum of a dot product is an
-    integer of magnitude at most 2^24, so float32 adds without rounding in any
-    summation order and the product is exact; otherwise float64 (exact below
-    2^53). Bounds: 1 for +-1 operands (every binarized layer gets float32);
-    255 * 128 for uint8 pixels times int8 weights (128, not 127, because
-    `WeightContainer.load` accepts -128), which keeps the first convs of
-    lenet-5, cnn-1 and cnn-2 (fan-in 25, 25, 49) in float32 and the MLPs'
-    784-wide first layer in float64. `None` (no known bound) means float64.
-    """
-    return np.float32 if bound is not None and bound * fan_in <= _FLOAT32_EXACT else np.float64
-
-
 def _pixel_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exact integer dot products of pixel rows with int8 weight rows, as
-    floats; only uint8 pixels have a bound that allows float32."""
-    dtype = _gemm_dtype(255 * 128 if a.dtype == np.uint8 else None, a.shape[1])
-    return a.astype(dtype) @ w.astype(dtype).T
+    floats.
+
+    A uint8 pixel times an int8 weight is at most 255 * 128 in magnitude
+    (128, not 127, because `WeightContainer.load` accepts -128). Over a block
+    of at most 2^24 // (255 * 128) = 514 columns every partial sum of a dot
+    product is then an integer of magnitude at most 2^24, which float32 adds
+    without rounding in any summation order: each block is one exact float32
+    GEMM. The blocks are added in float64, exact below 2^53; a fan-in of one
+    block (the first convs of lenet-5, cnn-1 and cnn-2) stays float32. Other
+    image dtypes have no such bound and run in float64.
+    """
+    if a.dtype != np.uint8:
+        return a.astype(np.float64) @ w.astype(np.float64).T
+    width = _FLOAT32_EXACT // (255 * 128)
+    a, w = a.astype(np.float32), w.astype(np.float32)
+    out = a[:, :width] @ w[:, :width].T
+    if a.shape[1] > width:
+        out = out.astype(np.float64)
+        for lo in range(width, a.shape[1], width):
+            out += a[:, lo : lo + width] @ w[:, lo : lo + width].T
+    return out
 
 
-def _signed_matmul(a_bits: np.ndarray, w_bits: np.ndarray) -> np.ndarray:
-    """Exact signed dot products of bit matrices (bits b as 2b - 1)."""
-    dtype = _gemm_dtype(1, a_bits.shape[1])
+def _segment_dots(a_bits: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...]) -> list[np.ndarray]:
+    """Exact signed dot products of bit matrices (bits b as 2b - 1), one
+    (rows of a, rows of w) array per column segment of `lengths`, which
+    partition the columns in order. Both operands become +-1 once and every
+    segment is a slice of them. Partial sums are integers of magnitude at
+    most the fan-in, so float32 is exact, and so is the sum of the segments,
+    up to a fan-in of 2^24; float64 beyond."""
+    dtype = np.float32 if a_bits.shape[1] <= _FLOAT32_EXACT else np.float64
     a, w = a_bits.astype(dtype), w_bits.astype(dtype)
     for m in (a, w):  # in place: no float temporaries
         m *= 2
         m -= 1
-    return (a @ w.T).astype(np.int64)
+    bounds = np.cumsum((0,) + lengths)
+    return [a[:, lo:hi] @ w[:, lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _signed_matmul(a_bits: np.ndarray, w_bits: np.ndarray) -> np.ndarray:
+    """Exact signed dot products of bit matrices (bits b as 2b - 1), int64."""
+    (dot,) = _segment_dots(a_bits, w_bits, (a_bits.shape[1],))
+    return dot.astype(np.int64)
 
 
 def _im2col(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
@@ -394,19 +416,27 @@ def _im2col(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return view.transpose(0, 2, 3, 1, 4, 5).reshape(-1, layer.fan_in)
 
 
-def _fc_bits_golden(a_bits: np.ndarray, w_bits: np.ndarray, tie_high: bool) -> np.ndarray:
-    dot = _signed_matmul(a_bits, w_bits)
+def _fc_bits_golden(a_bits: np.ndarray, w_bits: np.ndarray, tie_high: bool, dot=None) -> np.ndarray:
+    """Exact sign activation of a binary layer. `dot`, when given, is the
+    signed product of `a_bits` and `w_bits`, already computed."""
+    if dot is None:
+        (dot,) = _segment_dots(a_bits, w_bits, (a_bits.shape[1],))
     return (dot >= 0 if tie_high else dot > 0).astype(np.uint8)
 
 
-def _fc_bits_crossbar(a_bits: np.ndarray, w_bits: np.ndarray, backend: CrossbarBackend) -> np.ndarray:
-    """Binary FC through the crossbar model, vectorized over rows/outputs."""
+def _fc_bits_crossbar(a_bits: np.ndarray, w_bits: np.ndarray, backend: CrossbarBackend, dots=None) -> np.ndarray:
+    """Binary FC through the crossbar model, vectorized over rows/outputs.
+    `dots`, when given, are the per-segment signed products of `a_bits` and
+    `w_bits` on the backend's split, already computed."""
     lengths = segment_lengths(a_bits.shape[1], backend.config.rows)
-    starts = np.cumsum((0,) + lengths[:-1])
-    counts = [  # popcount of each segment XNOR
-        (m + _signed_matmul(a_bits[:, lo : lo + m], w_bits[:, lo : lo + m])) // 2
-        for lo, m in zip(starts, lengths)
-    ]
+    if dots is None:
+        dots = _segment_dots(a_bits, w_bits, lengths)
+    counts = []  # popcount of each segment XNOR: (m + dot) / 2
+    for dot, m in zip(dots, lengths):
+        count = dot.astype(np.intp)
+        count += m
+        count >>= 1
+        counts.append(count)
     if len(lengths) == 1:
         mid = (backend.refs.count - 1) // 2
         return (sa_read_batch(counts[0], backend.refs.for_segment(lengths[0])) > mid).astype(np.uint8)
@@ -433,21 +463,38 @@ def _shared_prefix_end(net: NetworkSpec) -> int:
     )
 
 
+def _weight_index(net: NetworkSpec, i: int) -> int:
+    """Index in `weights.arrays` of the first weight layer from `net.layers[i]` on."""
+    return sum(not isinstance(l, PoolLayer) for l in net.layers[:i])
+
+
+def _operands(layer, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(input rows, weight rows) of a weight layer on the activations `x`:
+    the im2col windows of a conv, the flattened input of an FC."""
+    a = _im2col(x, layer) if isinstance(layer, ConvLayer) else x.reshape(len(x), -1)
+    return a, w.reshape(layer.weight_shape[0], -1)
+
+
+def _activation(layer, bits: np.ndarray, batch: int) -> np.ndarray:
+    """Activation tensor of a weight layer from its (input rows, outputs)
+    bits: NCHW for a conv."""
+    if isinstance(layer, ConvLayer):
+        bits = bits.reshape(batch, layer.out_h, layer.out_w, layer.out_channels).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(bits, dtype=np.uint8)
+
+
 def _forward(net, weights, x, start, stop, mode, backend, tie_high):
     """Run `net.layers[start:stop]` on the activations `x` entering layer
     `start`; returns (output, activation bit tensor of each weight layer
     run). The final weight layer outputs its raw class scores."""
     acts = []
     n_weight = len(net.weight_layers)
-    wi = sum(not isinstance(l, PoolLayer) for l in net.layers[:start])
+    wi = _weight_index(net, start)
     for layer in net.layers[start:stop]:
         if isinstance(layer, PoolLayer):
             x = _pool_or(x, layer.size)
             continue
-        b = x.shape[0]
-        conv = isinstance(layer, ConvLayer)
-        a = _im2col(x, layer) if conv else x.reshape(b, -1)
-        w = weights.arrays[wi].reshape(layer.weight_shape[0], -1)
+        a, w = _operands(layer, x, weights.arrays[wi])
         wi += 1
         if not layer.binarized:
             bits = _pixel_matmul(a, w) >= 0
@@ -457,11 +504,22 @@ def _forward(net, weights, x, start, stop, mode, backend, tie_high):
             bits = _fc_bits_golden(a, w, tie_high)
         else:
             bits = _fc_bits_crossbar(a, w, backend)
-        if conv:
-            bits = bits.reshape(b, layer.out_h, layer.out_w, layer.out_channels).transpose(0, 3, 1, 2)
-        x = np.ascontiguousarray(bits, dtype=np.uint8)
+        x = _activation(layer, bits, len(x))
         acts.append(x)
     return x, acts
+
+
+def _first_binarized(net, weights, x, i, backend, tie_high):
+    """Both chains' activations of `net.layers[i]`, the first binarized
+    layer, on the shared input `x`. Its per-segment signed dots are computed
+    once: the crossbar chain senses them, and the golden bit is the sign of
+    their sum."""
+    layer = net.layers[i]
+    a, w = _operands(layer, x, weights.arrays[_weight_index(net, i)])
+    dots = _segment_dots(a, w, segment_lengths(layer.fan_in, backend.config.rows))
+    golden = _fc_bits_golden(a, w, tie_high, sum(dots))
+    crossbar = _fc_bits_crossbar(a, w, backend, dots)
+    return _activation(layer, golden, len(x)), _activation(layer, crossbar, len(x))
 
 
 # Images per pass through the chains: bounds peak memory for any dataset size.
@@ -478,27 +536,39 @@ def run_inference(
 ) -> InferenceReport:
     """Classify a batch and report accuracy plus, for the crossbar backend,
     the per-layer fraction of activation bits that differ from the exact
-    software chain. The chains share the non-binarized prefix (mismatch 0)
-    and run independently from the first binarized layer on. Images pass in
-    chunks of `_CHUNK`; integer counts are summed over chunks and divided
-    once, so the report does not depend on the chunk size."""
+    software chain.
+
+    The chains share the non-binarized prefix (mismatch 0), which runs once.
+    On the crossbar backend the first binarized layer is computed once for
+    both chains too: its per-segment signed dots give the crossbar bits, and
+    their sum gives the golden bits. The chains run independently after it,
+    and from it when it is the last layer (raw scores, nothing sensed).
+    Images pass in chunks of `_CHUNK`; integer counts are summed over chunks
+    and divided once, so the report does not depend on the chunk size."""
     weights.validate(net)
     if len(images) != len(labels) or not len(labels):
         raise ValueError(f"{len(images)} images vs {len(labels)} labels: need one label per image, and an image")
     if images.ndim == 3:
         images = images[:, None, :, :]
     split = _shared_prefix_end(net)
+    shared_first = backend != "golden" and split < len(net.layers) and net.layers[split] is not net.weight_layers[-1]
+    start = split + 1 if shared_first else split
     golden_correct = correct = 0
     mismatched = total = 0  # become per-activation-layer arrays at the first chunk
     for lo in range(0, len(labels), _CHUNK):
         chunk_labels = labels[lo : lo + _CHUNK]
         x, shared = _forward(net, weights, images[lo : lo + _CHUNK], 0, split, "golden", None, tie_high)
-        scores, golden_acts = _forward(net, weights, x, split, None, "golden", None, tie_high)
+        golden_x = crossbar_x = x
+        if shared_first:
+            golden_x, crossbar_x = _first_binarized(net, weights, x, split, backend, tie_high)
+        scores, golden_acts = _forward(net, weights, golden_x, start, None, "golden", None, tie_high)
         golden_correct += int((scores.argmax(axis=1) == chunk_labels).sum())
         if backend == "golden":
             continue
-        scores, acts = _forward(net, weights, x, split, None, "crossbar", backend, tie_high)
+        scores, acts = _forward(net, weights, crossbar_x, start, None, "crossbar", backend, tie_high)
         correct += int((scores.argmax(axis=1) == chunk_labels).sum())
+        if shared_first:
+            golden_acts, acts = [golden_x] + golden_acts, [crossbar_x] + acts
         diffs = [int((g != c).sum()) for g, c in zip(golden_acts, acts)]
         mismatched += np.array([0] * len(shared) + diffs, dtype=np.int64)
         total += np.array([a.size for a in shared + acts], dtype=np.int64)

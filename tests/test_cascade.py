@@ -101,6 +101,8 @@ class TestCascadeRules:
             cas.cascade(pol, [], [])
         with pytest.raises(ValueError):
             cas.cascade(pol, _readouts(refs, 8, 8, 1, 1), [8])
+        with pytest.raises(ValueError, match="unknown cascade kind 'XOR'"):
+            cas.decide_batch("XOR", np.zeros((1, 2), np.uint8), (8, 8), refs)
 
     def test_three_segment_fold_stays_sound_and_complete(self):
         # left-to-right bound accumulation over three segments

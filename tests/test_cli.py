@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,11 @@ BAD_CONFIGS = [
       "--seed", "1"], "missing-images.idx"),
     (["infer", "--config", "missing-config.json"], "missing-config.json"),
     (["cost", "--network", "lenet-5", "--params", "missing-params.json"], "missing-params.json"),
+    # F1 on one reference: mlp-l's layer 1 splits, and F1 cannot cascade main references alone
+    (["infer", "--network", "mlp-l", "--refs", "1", "--policy", "F1", "--synthetic", "4", "--seed", "1"],
+     "layer 1 (fan-in 1500 = 512+512+476): F1 needs"),
+    # a config file can name a policy that --policy's choices would refuse
+    (["infer", "--config", str(Path(__file__).with_name("configs") / "policy-xor.json")], "unknown cascade kind 'XOR'"),
 ]
 
 
@@ -29,7 +35,8 @@ BAD_CONFIGS = [
     BAD_CONFIGS,
     ids=[
         "tail-512+8", "lenet5-64x64", "unknown-token", "bad-geometry", "refs-outside-segment", "unknown-network",
-        "missing-weights", "missing-images", "missing-config", "missing-params",
+        "missing-weights", "missing-images", "missing-config", "missing-params", "f1-one-ref-split",
+        "unknown-policy-in-config",
     ],
 )
 def test_bad_configuration_is_one_line_and_exit_2(capsys, argv, reason):
@@ -38,6 +45,11 @@ def test_bad_configuration_is_one_line_and_exit_2(capsys, argv, reason):
     assert err.count("\n") == 1
     assert err.startswith(f"xbarbnn {argv[0]}: ")
     assert reason in err
+
+
+def test_one_reference_runs_where_no_sensed_layer_splits(capsys):
+    assert main(["infer", "--network", "lenet-5", "--refs", "1", "--synthetic", "4", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["backend"] == "crossbar/F2"
 
 
 def test_single_layer_network_reports_its_one_activation_layer(capsys):

@@ -95,6 +95,37 @@ class TestSaRead:
             sa_read(65, refs)
 
 
+class TestSaReadBatch:
+    """The table readout against the scalar comparator and a reference count."""
+
+    @pytest.mark.parametrize(
+        "refs",
+        [ReferenceSet(64, 7, 3), ReferenceSet(64, 7, 5), ReferenceSet(64, 4, 7), ReferenceSet(512, 1, 301)],
+        ids=["3", "5", "7", "301"],
+    )
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_equals_sa_read_in_range_and_searchsorted_outside(self, refs, dtype):
+        m = refs.segment_length
+        inside = np.arange(m + 1, dtype=dtype)
+        assert sa_read_batch(inside, refs).tolist() == [sa_read(int(v), refs).interval_index for v in inside]
+        outside = np.array([-3, -2, -1, m + 1, m + 2, m + 3], dtype=dtype)
+        got = sa_read_batch(outside, refs)
+        assert got.tolist() == np.searchsorted(np.asarray(refs.levels()), outside, side="left").tolist()
+        assert got.tolist() == [0, 0, 0, refs.count, refs.count, refs.count]
+
+    def test_index_dtype_holds_the_reference_count(self):
+        refs = ReferenceSet(512, 1, 301)
+        assert sa_read_batch(np.array([512]), refs).tolist() == [301]
+        assert sa_read_batch(np.array([0]), ReferenceSet(64, 7, 3)).dtype == np.uint8
+
+    def test_keeps_the_shape_of_2d_levels(self, rng):
+        refs = ReferenceSet(64, 7, 5)
+        levels = rng.integers(0, 65, (6, 9))
+        got = sa_read_batch(levels, refs)
+        assert got.shape == (6, 9)
+        assert got.tolist() == [[sa_read(int(v), refs).interval_index for v in row] for row in levels]
+
+
 class TestMapWeights:
     def test_single_segment_fit(self, rng):
         group = map_weights(random_bits(rng, 512), CrossbarConfig())

@@ -132,40 +132,67 @@ STRIDE_2_NET = NetworkSpec(
 
 @pytest.mark.parametrize(
     "backend, net",
-    [(b, n) for n in (SMALL_CONV_NET, STRIDE_2_NET) for b in ("golden", "crossbar")],
-    ids=["golden", "crossbar", "golden-stride-2", "crossbar-stride-2"],
+    [(b, n) for n in (SMALL_CONV_NET, STRIDE_2_NET) for b in ("golden", "crossbar", "crossbar-16-rows")],
+    ids=["golden", "crossbar", "crossbar-16-rows", "golden-stride-2", "crossbar-stride-2", "crossbar-16-rows-stride-2"],
 )
 def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypatch, backend, net):
     weights = WeightContainer.random(net, 7)
     images = rng.integers(0, 256, (16, 12, 12), dtype=np.uint8)
     want_scores, want_acts = reference_forward(net, weights, images)
-    if backend == "crossbar":
-        # every fan-in fits one 512-row segment, where the SA reads the
-        # exact majority: the crossbar chain must equal the reference too
-        backend = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
+    # as the layers decide them: one row per (image, window), one column per channel
+    pixel_rows, binarized_rows = (a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1]) for a in want_acts)
+    if backend != "golden":
+        # on 512 rows every fan-in fits one segment, where the SA reads the
+        # exact majority: the crossbar chain must equal the reference too; on
+        # 16 rows the binarized conv's fan-in 36 splits 16+16+4
+        rows, distance = (16, 1) if backend == "crossbar-16-rows" else (512, 16)
+        backend = CrossbarBackend(CrossbarConfig(rows, rows), ReferenceSet(rows, distance, 3), "F2")
 
-    calls = []
-    real = netio._forward
+    calls = {}
 
-    def recording(*args):
-        out = real(*args)
-        calls.append(out)
-        return out
+    def record(name):
+        real = getattr(netio, name)
+        calls[name] = []
 
-    monkeypatch.setattr(netio, "_forward", recording)
+        def recording(*args):
+            out = real(*args)
+            calls[name].append((args, out))
+            return out
+
+        monkeypatch.setattr(netio, name, recording)
+
+    for name in ("_pixel_matmul", "_segment_dots", "_fc_bits_golden", "_fc_bits_crossbar", "_signed_matmul"):
+        record(name)
+    monkeypatch.setattr(netio, "_CHUNK", 7)  # 16 images in 3 chunks
     report = run_inference(net, weights, images, want_scores.argmax(axis=1), backend)
 
-    (_, shared), *suffixes = calls  # the prefix runs once for both chains
-    assert len(shared) == 1 and len(suffixes) == (1 if backend == "golden" else 2)
-    for scores, acts in suffixes:
-        assert scores.dtype == np.int64
-        assert np.array_equal(scores, want_scores)
-        got = shared + acts
-        assert len(got) == len(want_acts)
-        for g, want in zip(got, want_acts):
-            assert g.dtype == np.uint8 and np.array_equal(g, want)
-    assert report.golden_accuracy == report.accuracy == 1.0
-    assert [m for _, m in report.layer_mismatch] == ([] if backend == "golden" else [0.0, 0.0])
+    def outputs(name):
+        return np.concatenate([out for _, out in calls[name]])
+
+    # the first binarized layer's product runs once per chunk, for both chains
+    fan_in = net.weight_layers[1].fan_in
+    assert [args[0].shape[1] for args, _ in calls["_segment_dots"]].count(fan_in) == 3
+    assert np.array_equal(outputs("_pixel_matmul") >= 0, pixel_rows)
+    golden = outputs("_fc_bits_golden")
+    assert golden.dtype == np.uint8 and np.array_equal(golden, binarized_rows)
+    # in every chunk the golden chain's scores come first
+    scores = [out for _, out in calls["_signed_matmul"]]
+    for got in scores:
+        assert got.dtype == np.int64
+    assert np.array_equal(np.concatenate(scores[:: 1 if backend == "golden" else 2]), want_scores)
+    assert report.golden_accuracy == 1.0
+    if backend == "golden":
+        assert report.layer_mismatch == ()
+        return
+    crossbar_bits = outputs("_fc_bits_crossbar")
+    assert crossbar_bits.dtype == np.uint8
+    mismatch = [m for _, m in report.layer_mismatch]
+    if backend.config.rows == 512:
+        assert np.array_equal(crossbar_bits, binarized_rows)
+        assert np.array_equal(np.concatenate(scores[1::2]), want_scores)
+        assert report.accuracy == 1.0 and mismatch == [0.0, 0.0]
+    else:
+        assert mismatch == [0.0, float((crossbar_bits != golden).mean())] and mismatch[1] > 0
 
 
 def _lenet5_run(n, backend):
