@@ -38,6 +38,12 @@ from .crossbar import ReferenceSet, SAReadout, sa_read_batch
 POLICY_KINDS = ("AND", "OR", "F1", "F2")
 
 
+def check_kind(kind: str) -> None:
+    """Raise ValueError unless `kind` is one of `POLICY_KINDS`."""
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown cascade kind {kind!r}; known: {', '.join(POLICY_KINDS)}")
+
+
 @dataclass(frozen=True)
 class CascadePolicy:
     """A cascading rule plus the reference layout it assumes per segment."""
@@ -46,8 +52,7 @@ class CascadePolicy:
     refs: ReferenceSet
 
     def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown cascade kind {self.kind!r}; known: {', '.join(POLICY_KINDS)}")
+        check_kind(self.kind)
         if self.kind in ("F1", "F2") and self.refs.count < 3:
             raise ValueError(f"{self.kind} needs at least one auxiliary reference pair (count >= 3)")
 
@@ -112,8 +117,7 @@ def decide_batch(kind: str, intervals: np.ndarray, lengths, refs: ReferenceSet) 
     Returns a boolean array of activation bits. Raises ValueError on a
     kind outside `POLICY_KINDS`.
     """
-    if kind not in POLICY_KINDS:
-        raise ValueError(f"unknown cascade kind {kind!r}; known: {', '.join(POLICY_KINDS)}")
+    check_kind(kind)
     intervals = np.asarray(intervals)
     mid = (refs.count - 1) // 2
     if kind == "AND":

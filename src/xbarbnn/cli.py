@@ -136,7 +136,7 @@ def run_verification(nu_max: int = 10, progress=print) -> list[str]:
         a[1, ::2] = 0
         w = np.full((3, fan_in), -128, np.int8)
         w[1] = 127
-        w[2, 0] = 127  # an odd sum: past 2^24, float32 would round it
+        w[2, 0] = 127  # an odd sum, past 2^24 at 1029: one float32 GEMM would round it
         want = a.astype(np.int64) @ w.astype(np.int64).T
         ok &= np.array_equal(netio._pixel_matmul(a, w), want)
     check(f"blocked pixel GEMM == int64 product, fan-ins {PIXEL_FAN_INS}", ok, "cmd_verify pixel GEMM suite")

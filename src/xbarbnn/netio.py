@@ -322,8 +322,7 @@ class CrossbarBackend:
         also needs a valid `CascadePolicy`: F1 and F2 need 3 or more
         references there; a layer that fits one segment reads the main
         reference alone."""
-        if self.policy_kind not in _cascade.POLICY_KINDS:
-            raise ValueError(f"unknown cascade kind {self.policy_kind!r}; known: {', '.join(_cascade.POLICY_KINDS)}")
+        _cascade.check_kind(self.policy_kind)
         for i, layer in enumerate(net.weight_layers[:-1]):
             if not layer.binarized:
                 continue
@@ -377,11 +376,11 @@ def _pixel_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
         return a.astype(np.float64) @ w.astype(np.float64).T
     width = _FLOAT32_EXACT // (255 * 128)
     a, w = a.astype(np.float32), w.astype(np.float32)
-    out = a[:, :width] @ w[:, :width].T
-    if a.shape[1] > width:
-        out = out.astype(np.float64)
-        for lo in range(width, a.shape[1], width):
-            out += a[:, lo : lo + width] @ w[:, lo : lo + width].T
+    if a.shape[1] <= width:
+        return a @ w.T
+    out = np.zeros((len(a), len(w)))
+    for lo in range(0, a.shape[1], width):
+        out += a[:, lo : lo + width] @ w[:, lo : lo + width].T
     return out
 
 
@@ -551,7 +550,9 @@ def run_inference(
     if images.ndim == 3:
         images = images[:, None, :, :]
     split = _shared_prefix_end(net)
-    shared_first = backend != "golden" and split < len(net.layers) and net.layers[split] is not net.weight_layers[-1]
+    # false when there is no binarized layer, or when it is the last weight
+    # layer, whose raw scores are not sensed
+    shared_first = backend != "golden" and _weight_index(net, split) < len(weights.arrays) - 1
     start = split + 1 if shared_first else split
     golden_correct = correct = 0
     mismatched = total = 0  # become per-activation-layer arrays at the first chunk
