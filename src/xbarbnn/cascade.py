@@ -125,24 +125,27 @@ def decide_batch(kind: str, intervals: np.ndarray, lengths, refs: ReferenceSet) 
     if kind == "OR":
         return (intervals > mid).any(axis=1)
     vector_size = sum(lengths)
+    # Each bound sum is at most the vector size, so int32 tables and sums are
+    # exact; `take` gathers from any integer interval dtype without an intp
+    # index array per fancy index.
     if kind == "F1":
         # Certified lower bound per segment: the highest reference strictly
         # below the count; a readout in the bottom interval certifies none.
-        lo_sum = np.zeros(intervals.shape[0], dtype=np.int64)
+        lo_sum = np.zeros(intervals.shape[0], dtype=np.int32)
         all_certified = np.ones(intervals.shape[0], dtype=bool)
         for s, m in enumerate(lengths):
-            lows = np.asarray([0, *refs.for_segment(m).levels()], dtype=np.int64)
+            lows = np.asarray([0, *refs.for_segment(m).levels()], dtype=np.int32)
             t = intervals[:, s]
-            lo_sum += lows[t]
+            lo_sum += lows.take(t)
             all_certified &= t >= 1
         return all_certified & (2 * lo_sum >= vector_size)
     # F2: upper edge per segment, the lowest reference at or above the count
     # (the segment length in the top interval); fire when the largest count
     # sum consistent with the readouts is a strict majority.
-    hi_sum = np.zeros(intervals.shape[0], dtype=np.int64)
+    hi_sum = np.zeros(intervals.shape[0], dtype=np.int32)
     for s, m in enumerate(lengths):
-        highs = np.asarray([*refs.for_segment(m).levels(), m], dtype=np.int64)
-        hi_sum += highs[intervals[:, s]]
+        highs = np.asarray([*refs.for_segment(m).levels(), m], dtype=np.int32)
+        hi_sum += highs.take(intervals[:, s])
     return 2 * hi_sum > vector_size
 
 

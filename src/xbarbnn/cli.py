@@ -167,22 +167,52 @@ def run_verification(nu_max: int = 10, progress=print) -> list[str]:
                 ok = False
     check("pair-count census == raw exhaustive walk", ok, "cmd_verify census suite")
 
-    # the conv dataflow equals an im2col signed dot, and its transaction log
-    # equals the closed-form bus words
+    # the conv band GEMM equals an int64 dot taken window by window, per
+    # segment on one, two and three segments, for bits and for pixels, and
+    # across the pixel float32 bound
+    rng = np.random.default_rng(3)
+    ok = True
+    for ch, h, w, k, stride in dict.fromkeys(case[:5] for case in DATAFLOW_CASES):
+        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+        x = rng.integers(0, 2, (2, h, w, ch), dtype=np.uint8)
+        kernels = rng.integers(0, 2, (4, layer.fan_in), dtype=np.uint8)
+        for rows in CONV_SPLIT_ROWS:
+            lengths = crossbar.segment_lengths(layer.fan_in, rows)
+            bounds = np.cumsum((0,) + lengths)
+            for dot, lo, hi in zip(netio._segment_dots(x, kernels, lengths, layer), bounds[:-1], bounds[1:]):
+                part = np.zeros(kernels.shape, np.int64)
+                part[:, lo:hi] = 2 * kernels[:, lo:hi].astype(np.int64) - 1
+                ok &= np.array_equal(dot, _window_dots(2 * x.astype(np.int64) - 1, part, layer))
+        pixels = rng.integers(0, 256, (2, h, w, ch), dtype=np.uint8)
+        w8 = rng.integers(-128, 128, (4, layer.fan_in), dtype=np.int8)
+        want = _window_dots(pixels.astype(np.int64), w8.astype(np.int64), layer)
+        ok &= np.array_equal(netio._pixel_matmul(pixels, w8, layer), want)
+    for channels, dtype in ((514, np.float32), (515, np.float64)):
+        layer = dataflow.ConvLayer(channels, 2, 3, 4, 1, binarized=False)
+        pixels, w8 = np.full((2, 3, 4, channels), 255, np.uint8), np.full((2, channels), -128, np.int8)
+        got = netio._pixel_matmul(pixels, w8, layer)
+        want = _window_dots(pixels.astype(np.int64), w8.astype(np.int64), layer)
+        ok &= got.dtype == dtype and np.array_equal(got, want)
+    splits = " ".join(f"{r} rows" for r in CONV_SPLIT_ROWS)
+    check(f"conv band GEMM == int64 per-window dot, dataflow shapes on {splits}, 1x1 pixel conv at 514/515 channels",
+          ok, "cmd_verify conv GEMM suite")
+
+    # the conv dataflow equals the band GEMM's signed dot, and its
+    # transaction log equals the closed-form bus words
     rng = np.random.default_rng(2)
     dots_ok = words_ok = True
     for ch, h, w, k, stride, pw in DATAFLOW_CASES:
         layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
         x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
         kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
-        want = netio._signed_matmul(netio._im2col(x[None], layer), kernels.reshape(layer.out_channels, -1))
+        want = netio._signed_matmul(x.transpose(1, 2, 0)[None], kernels.reshape(layer.out_channels, -1), layer)
         want = want.T.reshape(layer.out_channels, layer.out_h, layer.out_w)
         for bus, bits in itertools.product((1, 32), (1, 8)):
             dots, log = dataflow.run_layer(x, kernels, None, pw, bits, bus, stride)
             dots_ok &= np.array_equal(dots, want)
             words_ok &= log.words_streamed == dataflow.streamed_words_per_layer(layer, bits, bus, pw)
     shapes = " ".join("c{}h{}w{}k{}s{}pw{:d}".format(*case) for case in DATAFLOW_CASES)
-    check(f"conv dataflow == im2col signed dot, {shapes}", dots_ok, "cmd_verify dataflow suite")
+    check(f"conv dataflow == conv band GEMM signed dot, {shapes}", dots_ok, "cmd_verify dataflow suite")
     check("logged bus words == closed form, bus widths 1/32, bit widths 1/8", words_ok,
           "cmd_verify dataflow suite")
     return failures
@@ -195,6 +225,25 @@ DATAFLOW_CASES = (
     (3, 9, 11, 3, 1, False), (3, 9, 10, 3, 1, False), (3, 11, 11, 3, 2, False), (3, 11, 13, 3, 2, False),
     (3, 9, 11, 3, 1, True), (3, 9, 10, 3, 1, True), (2, 5, 3, 3, 1, True),
 )
+
+
+# array rows for the conv GEMM check: every DATAFLOW_CASES fan-in (27, 18)
+# in one segment, in two unequal ones (16+11, 16+2) and in up to three
+# (10+10+7, 10+8)
+CONV_SPLIT_ROWS = (512, 16, 10)
+
+
+def _window_dots(x: np.ndarray, w: np.ndarray, layer) -> np.ndarray:
+    """int64 reference for a conv on NHWC `x`: each window's values, in the
+    (c, i, j) order of the weight rows `w`, dotted with them; one row per
+    (image, window), row-major per image."""
+    k, s = layer.kernel, layer.stride
+    windows = [
+        x[:, r * s : r * s + k, q * s : q * s + k].transpose(0, 3, 1, 2).reshape(len(x), -1)
+        for r in range(layer.out_h)
+        for q in range(layer.out_w)
+    ]
+    return (np.stack(windows, axis=1) @ w.T).reshape(-1, len(w))
 
 
 # two equal even halves (the paper's case), odd halves, unequal two-way
@@ -248,13 +297,14 @@ CHAIN_SPLITS = ((8, 7), (8, 14), (8, 23), (16, 12), (16, 28), (16, 40))
 
 
 def _batched_chain_matches_scalar(rows: int, fan_in: int, kind: str, count: int, x: int, rng) -> bool:
-    """`netio._fc_bits_crossbar` on random bit matrices against
+    """`netio._fc_bits_crossbar` on the segment dots of random bit matrices against
     `crossbar.layer_forward` per (input row, neuron)."""
     cfg = crossbar.CrossbarConfig(rows, rows)
     refs = crossbar.ReferenceSet(crossbar.segment_lengths(fan_in, rows)[0], x, count)
     a = rng.integers(0, 2, (16, fan_in), dtype=np.uint8)
     w = rng.integers(0, 2, (4, fan_in), dtype=np.uint8)
-    got = netio._fc_bits_crossbar(a, w, netio.CrossbarBackend(cfg, refs, kind))
+    lengths = crossbar.segment_lengths(fan_in, rows)
+    got = netio._fc_bits_crossbar(netio._segment_dots(a, w, lengths), lengths, netio.CrossbarBackend(cfg, refs, kind))
     policy = cascade.CascadePolicy(kind, refs)
     groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
     want = [

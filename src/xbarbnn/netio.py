@@ -5,6 +5,16 @@ u8 x i8 first layer and any pool after it), which runs once, and the
 product of the first binarized weight layer, which also runs once; they
 diverge at that layer's decisions.
 
+Conv activations are NHWC (batch, height, width, channels) from the images
+to the first FC layer, which flattens them in the (c, h, w) order of its
+weight columns. A conv layer is one GEMM per fan-in segment and no window
+is copied: the band (one row per image and output row, holding the k input
+rows that row's windows read) times a block-Toeplitz weight matrix (each
+window's kernel in its column block, exact zeros elsewhere). Every partial
+sum is a sum of at most fan-in nonzero integer products, so the GEMMs are
+exact in float32 for +-1 layers up to a fan-in of 2^24, and for uint8 x int8
+pixels over blocks of at most 514 fan-in columns (255 * 128 * 514 <= 2^24).
+
 Topology grammar ("-" separated tokens):
     "5x5,6"     conv, 5x5 kernel, 6 output channels
     "2x2 Pool"  max pool (binary max = OR over the window)
@@ -359,77 +369,118 @@ class InferenceReport:
 _FLOAT32_EXACT = 1 << 24
 
 
-def _pixel_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact integer dot products of pixel rows with int8 weight rows, as
-    floats.
+def _band(x: np.ndarray, layer: ConvLayer, dtype) -> np.ndarray:
+    """(B, H, W, C) activations -> the (B * oh, k * W * C) band of a conv:
+    row (b, r) holds the k input rows that the windows of output row r read,
+    at the layer's stride. Built as `dtype` with k row-slice copies."""
+    k, s, oh = layer.kernel, layer.stride, layer.out_h
+    band = np.empty((len(x), oh, k) + x.shape[2:], dtype)
+    for i in range(k):
+        band[:, :, i] = x[:, i : i + s * (oh - 1) + 1 : s]
+    return band.reshape(len(x) * oh, -1)
+
+
+def _toeplitz(layer: ConvLayer, w: np.ndarray) -> np.ndarray:
+    """(O, C*k*k) kernel rows, (c, i, j) order -> the (k * W * C, ow * O)
+    block-Toeplitz matrix of a conv: column block q holds every kernel at the
+    band columns of window q (input columns q*s .. q*s + k - 1), with exact
+    zeros elsewhere. The band times it is (B * oh, ow * O), which reshapes at
+    no cost to one row per window and one column per output channel."""
+    k, s, c, o = layer.kernel, layer.stride, layer.in_channels, layer.out_channels
+    t = np.zeros((k, layer.input_w, c, layer.out_w, o), w.dtype)
+    kernels = w.reshape(o, c, k, k).transpose(2, 3, 1, 0)  # (i, j, c, o)
+    for q in range(layer.out_w):
+        t[:, q * s : q * s + k, :, q] = kernels
+    return t.reshape(-1, layer.out_w * o)
+
+
+def _layer_dots(x, w, lengths, dtype, layer, signed):
+    """Products of the activations `x` entering a weight layer with its
+    weight rows `w` (O, fan-in), as `dtype`, one (input rows, O) array per
+    segment of `lengths`, which partition the fan-in in order; yielded one
+    at a time. `signed` reads both operands' bits b as 2b - 1.
+
+    An FC layer flattens `x` per image, in the (c, h, w) order of its weight
+    columns, and slices both operands per segment. A conv (`layer` a
+    ConvLayer, `x` NHWC) multiplies its band by one block-Toeplitz matrix per
+    segment, zero outside the segment; its input rows are the (image, window)
+    rows, row-major per image. The zeros add exact zeros, so every partial
+    sum of a segment is a sum of at most its length of nonzero products, as
+    in the FC product."""
+    if isinstance(layer, ConvLayer):
+        a = _band(x, layer, dtype)
+    else:
+        if x.ndim == 4:  # NHWC conv activations
+            x = x.transpose(0, 3, 1, 2)
+        a = x.reshape(len(x), -1).astype(dtype)
+    w = w.astype(dtype)
+    if signed:
+        for m in (a, w):  # in place: no float temporaries
+            m *= 2
+            m -= 1
+    bounds = np.cumsum((0,) + tuple(lengths))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if isinstance(layer, ConvLayer):
+            part = np.zeros_like(w)
+            part[:, lo:hi] = w[:, lo:hi]
+            yield (a @ _toeplitz(layer, part)).reshape(-1, layer.out_channels)
+        else:
+            yield a[:, lo:hi] @ w[:, lo:hi].T
+
+
+def _pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
+    """Exact integer dot products of the pixels `x` entering a weight layer
+    with its int8 weight rows `w`, as floats, one row per input row (per
+    image, or per (image, window) of a conv on NHWC pixels).
 
     A uint8 pixel times an int8 weight is at most 255 * 128 in magnitude
     (128, not 127, because `WeightContainer.load` accepts -128). Over a block
-    of at most 2^24 // (255 * 128) = 514 columns every partial sum of a dot
-    product is then an integer of magnitude at most 2^24, which float32 adds
-    without rounding in any summation order: each block is one exact float32
-    GEMM. The blocks are added in float64, exact below 2^53; a fan-in of one
-    block (the first convs of lenet-5, cnn-1 and cnn-2) stays float32. Other
-    image dtypes have no such bound and run in float64.
+    of at most 2^24 // (255 * 128) = 514 fan-in columns every partial sum of
+    a dot product is then an integer of magnitude at most 2^24, which float32
+    adds without rounding in any summation order: each block is one exact
+    float32 GEMM (the conv's Toeplitz zeros add nothing). The blocks are
+    added in float64, exact below 2^53; a fan-in of one block (the first
+    convs of lenet-5, cnn-1 and cnn-2) stays float32. Other image dtypes have
+    no such bound and run in float64.
     """
-    if a.dtype != np.uint8:
-        return a.astype(np.float64) @ w.astype(np.float64).T
-    width = _FLOAT32_EXACT // (255 * 128)
-    a, w = a.astype(np.float32), w.astype(np.float32)
-    if a.shape[1] <= width:
-        return a @ w.T
-    out = np.zeros((len(a), len(w)))
-    for lo in range(0, a.shape[1], width):
-        out += a[:, lo : lo + width] @ w[:, lo : lo + width].T
+    if x.dtype != np.uint8:
+        return next(_layer_dots(x, w, (w.shape[1],), np.float64, layer, False))
+    blocks = segment_lengths(w.shape[1], _FLOAT32_EXACT // (255 * 128))
+    dots = _layer_dots(x, w, blocks, np.float32, layer, False)
+    if len(blocks) == 1:
+        return next(dots)
+    out = next(dots).astype(np.float64)
+    for dot in dots:
+        out += dot
     return out
 
 
-def _segment_dots(a_bits: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...]) -> list[np.ndarray]:
-    """Exact signed dot products of bit matrices (bits b as 2b - 1), one
-    (rows of a, rows of w) array per column segment of `lengths`, which
-    partition the columns in order. Both operands become +-1 once and every
-    segment is a slice of them. Partial sums are integers of magnitude at
-    most the fan-in, so float32 is exact, and so is the sum of the segments,
-    up to a fan-in of 2^24; float64 beyond."""
-    dtype = np.float32 if a_bits.shape[1] <= _FLOAT32_EXACT else np.float64
-    a, w = a_bits.astype(dtype), w_bits.astype(dtype)
-    for m in (a, w):  # in place: no float temporaries
-        m *= 2
-        m -= 1
-    bounds = np.cumsum((0,) + lengths)
-    return [a[:, lo:hi] @ w[:, lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _segment_dots(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], layer=None) -> list[np.ndarray]:
+    """Exact signed dot products of the bits `x` entering a weight layer
+    with its weight rows `w_bits` (bits b as 2b - 1), one (input rows, O)
+    array per fan-in segment of `lengths` (see `_layer_dots`). Both operands
+    become +-1 once. Partial sums are integers of magnitude at most the
+    fan-in, so float32 is exact, and so is the sum of the segments, up to a
+    fan-in of 2^24; float64 beyond."""
+    dtype = np.float32 if w_bits.shape[1] <= _FLOAT32_EXACT else np.float64
+    return list(_layer_dots(x, w_bits, lengths, dtype, layer, True))
 
 
-def _signed_matmul(a_bits: np.ndarray, w_bits: np.ndarray) -> np.ndarray:
+def _signed_matmul(x: np.ndarray, w_bits: np.ndarray, layer=None) -> np.ndarray:
     """Exact signed dot products of bit matrices (bits b as 2b - 1), int64."""
-    (dot,) = _segment_dots(a_bits, w_bits, (a_bits.shape[1],))
+    (dot,) = _segment_dots(x, w_bits, (w_bits.shape[1],), layer)
     return dot.astype(np.int64)
 
 
-def _im2col(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """(B, C, H, W) -> (B * windows, C*k*k): the layer's valid windows at its
-    stride, row-major per image."""
-    k, s = layer.kernel, layer.stride
-    view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    # view: (B, C, oh, ow, k, k) -> (B*oh*ow, C*k*k)
-    return view.transpose(0, 2, 3, 1, 4, 5).reshape(-1, layer.fan_in)
-
-
-def _fc_bits_golden(a_bits: np.ndarray, w_bits: np.ndarray, tie_high: bool, dot=None) -> np.ndarray:
-    """Exact sign activation of a binary layer. `dot`, when given, is the
-    signed product of `a_bits` and `w_bits`, already computed."""
-    if dot is None:
-        (dot,) = _segment_dots(a_bits, w_bits, (a_bits.shape[1],))
+def _fc_bits_golden(dot: np.ndarray, tie_high: bool) -> np.ndarray:
+    """Exact sign activation of a binary layer from its signed dots."""
     return (dot >= 0 if tie_high else dot > 0).astype(np.uint8)
 
 
-def _fc_bits_crossbar(a_bits: np.ndarray, w_bits: np.ndarray, backend: CrossbarBackend, dots=None) -> np.ndarray:
-    """Binary FC through the crossbar model, vectorized over rows/outputs.
-    `dots`, when given, are the per-segment signed products of `a_bits` and
-    `w_bits` on the backend's split, already computed."""
-    lengths = segment_lengths(a_bits.shape[1], backend.config.rows)
-    if dots is None:
-        dots = _segment_dots(a_bits, w_bits, lengths)
+def _fc_bits_crossbar(dots: list, lengths: tuple[int, ...], backend: CrossbarBackend) -> np.ndarray:
+    """Activation bits of a binary layer through the crossbar model,
+    vectorized over rows/outputs, from the signed dots of each segment of
+    its fan-in split `lengths` on the backend's arrays."""
     counts = []  # popcount of each segment XNOR: (m + dot) / 2
     for dot, m in zip(dots, lengths):
         count = dot.astype(np.intp)
@@ -444,12 +495,12 @@ def _fc_bits_crossbar(a_bits: np.ndarray, w_bits: np.ndarray, backend: CrossbarB
 
 
 def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
-    """Max over non-overlapping size x size windows of (B, C, H, W), ragged
-    edges dropped: the OR of bits, the max of pixels. Taken over strided
-    slices, first the rows, then the columns."""
-    h, w = x.shape[2] - x.shape[2] % size, x.shape[3] - x.shape[3] % size
-    rows = functools.reduce(np.maximum, [x[:, :, i:h:size] for i in range(size)])
-    return functools.reduce(np.maximum, [rows[:, :, :, j:w:size] for j in range(size)])
+    """Max over non-overlapping size x size windows of NHWC (B, H, W, C),
+    ragged edges dropped: the OR of bits, the max of pixels. Taken over
+    strided slices, first the rows, then the columns."""
+    h, w = x.shape[1] - x.shape[1] % size, x.shape[2] - x.shape[2] % size
+    rows = functools.reduce(np.maximum, [x[:, i:h:size] for i in range(size)])
+    return functools.reduce(np.maximum, [rows[:, :, j:w:size] for j in range(size)])
 
 
 def _shared_prefix_end(net: NetworkSpec) -> int:
@@ -467,18 +518,12 @@ def _weight_index(net: NetworkSpec, i: int) -> int:
     return sum(not isinstance(l, PoolLayer) for l in net.layers[:i])
 
 
-def _operands(layer, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(input rows, weight rows) of a weight layer on the activations `x`:
-    the im2col windows of a conv, the flattened input of an FC."""
-    a = _im2col(x, layer) if isinstance(layer, ConvLayer) else x.reshape(len(x), -1)
-    return a, w.reshape(layer.weight_shape[0], -1)
-
-
 def _activation(layer, bits: np.ndarray, batch: int) -> np.ndarray:
     """Activation tensor of a weight layer from its (input rows, outputs)
-    bits: NCHW for a conv."""
+    bits: NHWC (B, oh, ow, O) for a conv, a plain reshape of its
+    (image, window) rows."""
     if isinstance(layer, ConvLayer):
-        bits = bits.reshape(batch, layer.out_h, layer.out_w, layer.out_channels).transpose(0, 3, 1, 2)
+        bits = bits.reshape(batch, layer.out_h, layer.out_w, layer.out_channels)
     return np.ascontiguousarray(bits, dtype=np.uint8)
 
 
@@ -493,16 +538,18 @@ def _forward(net, weights, x, start, stop, mode, backend, tie_high):
         if isinstance(layer, PoolLayer):
             x = _pool_or(x, layer.size)
             continue
-        a, w = _operands(layer, x, weights.arrays[wi])
+        w = weights.arrays[wi].reshape(layer.weight_shape[0], -1)
         wi += 1
         if not layer.binarized:
-            bits = _pixel_matmul(a, w) >= 0
+            bits = _pixel_matmul(x, w, layer) >= 0
         elif wi == n_weight:
-            return _signed_matmul(a, w), acts  # raw class scores, no thresholding
+            return _signed_matmul(x, w, layer), acts  # raw class scores, no thresholding
         elif mode == "golden":
-            bits = _fc_bits_golden(a, w, tie_high)
+            (dot,) = _segment_dots(x, w, (layer.fan_in,), layer)
+            bits = _fc_bits_golden(dot, tie_high)
         else:
-            bits = _fc_bits_crossbar(a, w, backend)
+            lengths = segment_lengths(layer.fan_in, backend.config.rows)
+            bits = _fc_bits_crossbar(_segment_dots(x, w, lengths, layer), lengths, backend)
         x = _activation(layer, bits, len(x))
         acts.append(x)
     return x, acts
@@ -514,10 +561,11 @@ def _first_binarized(net, weights, x, i, backend, tie_high):
     once: the crossbar chain senses them, and the golden bit is the sign of
     their sum."""
     layer = net.layers[i]
-    a, w = _operands(layer, x, weights.arrays[_weight_index(net, i)])
-    dots = _segment_dots(a, w, segment_lengths(layer.fan_in, backend.config.rows))
-    golden = _fc_bits_golden(a, w, tie_high, sum(dots))
-    crossbar = _fc_bits_crossbar(a, w, backend, dots)
+    w = weights.arrays[_weight_index(net, i)].reshape(layer.weight_shape[0], -1)
+    lengths = segment_lengths(layer.fan_in, backend.config.rows)
+    dots = _segment_dots(x, w, lengths, layer)
+    golden = _fc_bits_golden(sum(dots), tie_high)
+    crossbar = _fc_bits_crossbar(dots, lengths, backend)
     return _activation(layer, golden, len(x)), _activation(layer, crossbar, len(x))
 
 
@@ -543,12 +591,13 @@ def run_inference(
     their sum gives the golden bits. The chains run independently after it,
     and from it when it is the last layer (raw scores, nothing sensed).
     Images pass in chunks of `_CHUNK`; integer counts are summed over chunks
-    and divided once, so the report does not depend on the chunk size."""
+    and divided once, so the report does not depend on the chunk size.
+    `images` are (N, H, W) single-channel, or NHWC (N, H, W, C)."""
     weights.validate(net)
     if len(images) != len(labels) or not len(labels):
         raise ValueError(f"{len(images)} images vs {len(labels)} labels: need one label per image, and an image")
     if images.ndim == 3:
-        images = images[:, None, :, :]
+        images = images[..., None]
     split = _shared_prefix_end(net)
     # false when there is no binarized layer, or when it is the last weight
     # layer, whose raw scores are not sensed

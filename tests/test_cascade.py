@@ -119,6 +119,26 @@ class TestCascadeRules:
             assert not (v2 == 0 and golden == 1)  # F2 complete
             assert v2 >= v1
 
+    @pytest.mark.parametrize("kind", ["F1", "F2"])
+    @pytest.mark.parametrize("count, small", [(3, np.uint8), (301, np.uint16)])
+    def test_bits_do_not_depend_on_interval_dtype_or_layout(self, rng, kind, count, small):
+        # mlp-l's layer-1 split; sa_read_batch returns uint8 up to 255
+        # references and uint16 beyond
+        lengths, refs = (512, 512, 476), ReferenceSet(512, 1, count)
+        intervals = rng.integers(0, count + 1, (2000, 3))
+        # int64 reference: per-segment bound tables indexed row by row
+        lows = [np.array([0, *refs.for_segment(m).levels()]) for m in lengths]
+        highs = [np.array([*refs.for_segment(m).levels(), m]) for m in lengths]
+        if kind == "F1":
+            bound = sum(t[intervals[:, s]] for s, t in enumerate(lows))
+            want = (intervals >= 1).all(axis=1) & (2 * bound >= sum(lengths))
+        else:
+            want = 2 * sum(t[intervals[:, s]] for s, t in enumerate(highs)) > sum(lengths)
+        for dtype in (small, np.intp):
+            c_order = intervals.astype(dtype)
+            for layout in (c_order, np.ascontiguousarray(c_order.T).T):  # C order, transposed
+                assert np.array_equal(cas.decide_batch(kind, layout, lengths, refs), want)
+
     def test_unequal_two_way_split_stays_sound_and_complete(self):
         # 16+12 is the greedy splitter's shape for 28 bits over 16 rows
         lengths, nu = [16, 12], 28

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -71,3 +74,13 @@ def test_meta_carries_versions_outside_the_config_hash(capsys, argv):
     resolved = {k: v for k, v in meta.items() if k not in ("config_sha256", "xbarbnn_version", "numpy_version")}
     if argv[0] == "infer":  # infer's meta is the hashed dict itself
         assert meta["config_sha256"] == _config_hash(resolved)
+
+
+def test_python_dash_m_runs_verify():
+    # the child process imports the same xbarbnn as this one
+    src = str(Path(xbarbnn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "xbarbnn", "verify"], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "[FAIL]" not in done.stdout and "[ok]" in done.stdout

@@ -42,7 +42,8 @@ def test_batched_chain_equals_per_neuron_layer_forward(rng, fan_in, kind, count,
     refs = ReferenceSet(16, x, count)
     a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
     w = rng.integers(0, 2, (6, fan_in), dtype=np.uint8)
-    got = _fc_bits_crossbar(a, w, CrossbarBackend(cfg, refs, kind))
+    lengths = segment_lengths(fan_in, cfg.rows)
+    got = _fc_bits_crossbar(netio._segment_dots(a, w, lengths), lengths, CrossbarBackend(cfg, refs, kind))
 
     policy = CascadePolicy(kind, refs)
     groups = [map_weights(BinaryTensor.from_bits(row), cfg) for row in w]
@@ -62,9 +63,9 @@ def reshape_max_pool(x: np.ndarray, size: int) -> np.ndarray:
 @pytest.mark.parametrize("high", [2, 256], ids=["bits", "pixels"])
 def test_pool_or_equals_reshape_max(rng, size, hw, high):
     x = rng.integers(0, high, (3, 2) + hw, dtype=np.uint8)
-    got = _pool_or(x, size)
+    got = _pool_or(x.transpose(0, 2, 3, 1), size)  # NHWC
     assert got.dtype == np.uint8
-    assert np.array_equal(got, reshape_max_pool(x, size))
+    assert np.array_equal(got, reshape_max_pool(x, size).transpose(0, 2, 3, 1))
 
 
 def test_pixel_gemm_is_exact_above_the_float32_bound(monkeypatch):
@@ -88,6 +89,62 @@ def test_pixel_gemm_dtype_switches_at_the_bound(fan_in, dtype):
 def test_pixel_gemm_of_other_image_dtypes_is_float64():
     got = _pixel_matmul(np.full((1, 4), 255, np.int64), np.full((1, 4), 127, np.int8))
     assert got.dtype == np.float64
+
+
+def window_dots(x, w, layer):
+    """int64 reference for a conv on NHWC `x`: each window's values, in the
+    (c, i, j) order of the weight rows `w`, dotted with them; one row per
+    (image, window), row-major per image."""
+    k, s = layer.kernel, layer.stride
+    windows = [
+        x[:, r * s : r * s + k, q * s : q * s + k].transpose(0, 3, 1, 2).reshape(len(x), -1)
+        for r in range(layer.out_h)
+        for q in range(layer.out_w)
+    ]
+    return (np.stack(windows, axis=1) @ w.T).reshape(-1, len(w))
+
+
+# (channels, height, width, kernel, stride): H != W; a 1x1 kernel; kernels
+# as tall as the input (oh = 1) and as large as it (one window); stride 2
+# with a leftover row and column
+CONV_CASES = [(1, 7, 9, 1, 1), (3, 7, 9, 3, 1), (3, 9, 7, 5, 1), (3, 5, 8, 5, 1), (1, 5, 5, 5, 1),
+              (3, 10, 12, 3, 2), (1, 8, 6, 5, 2)]
+
+
+@pytest.mark.parametrize(
+    "c, h, w, k, stride, parts",
+    [case + (parts,) for case in CONV_CASES for parts in (1, 2, 3) if case[0] * case[3] ** 2 >= parts],
+)
+def test_conv_band_gemm_equals_per_window_reference(rng, c, h, w, k, stride, parts):
+    layer = ConvLayer(c, 4, h, w, k, stride)
+    # unequal splits: 14+13, 10+10+7 for 27; 13+12, 10+10+5 for 25; 38+37, 26+26+23 for 75
+    lengths = segment_lengths(layer.fan_in, -(-layer.fan_in // parts) + (parts == 3))
+    assert len(lengths) == parts and len(set(lengths)) == min(parts, 2)
+    x = rng.integers(0, 2, (3, h, w, c), dtype=np.uint8)
+    kernels = rng.integers(0, 2, (4, layer.fan_in), dtype=np.uint8)
+    signed_x, signed_w = 2 * x.astype(np.int64) - 1, 2 * kernels.astype(np.int64) - 1
+    dots = netio._segment_dots(x, kernels, lengths, layer)
+    bounds = np.cumsum((0,) + lengths)
+    for dot, lo, hi in zip(dots, bounds[:-1], bounds[1:]):
+        part = np.zeros_like(signed_w)
+        part[:, lo:hi] = signed_w[:, lo:hi]
+        assert dot.dtype == np.float32
+        assert np.array_equal(dot, window_dots(signed_x, part, layer))
+    assert np.array_equal(netio._signed_matmul(x, kernels, layer), window_dots(signed_x, signed_w, layer))
+
+    pixels = rng.integers(0, 256, (3, h, w, c), dtype=np.uint8)
+    w8 = rng.integers(-128, 128, (4, layer.fan_in), dtype=np.int8)
+    want = window_dots(pixels.astype(np.int64), w8.astype(np.int64), layer)
+    assert np.array_equal(_pixel_matmul(pixels, w8, layer), want)
+
+
+@pytest.mark.parametrize("channels, dtype", [(514, np.float32), (515, np.float64)])
+def test_pixel_conv_dtype_switches_at_the_bound(channels, dtype):
+    # a 1x1 conv: fan-in = channels, 255 * 128 * 514 <= 2^24 < 255 * 128 * 515
+    layer = ConvLayer(channels, 2, 3, 4, 1, binarized=False)
+    got = _pixel_matmul(np.full((2, 3, 4, channels), 255, np.uint8), np.full((2, channels), -128, np.int8), layer)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.full((2 * 3 * 4, 2), -255 * 128 * channels))
 
 
 def reference_forward(net, weights, images):
@@ -169,9 +226,9 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
     def outputs(name):
         return np.concatenate([out for _, out in calls[name]])
 
-    # the first binarized layer's product runs once per chunk, for both chains
-    fan_in = net.weight_layers[1].fan_in
-    assert [args[0].shape[1] for args, _ in calls["_segment_dots"]].count(fan_in) == 3
+    # the first binarized conv's band GEMM runs once per chunk, for both chains
+    first = net.weight_layers[1]
+    assert sum(args[3] is first for args, _ in calls["_segment_dots"]) == 3
     assert np.array_equal(outputs("_pixel_matmul") >= 0, pixel_rows)
     golden = outputs("_fc_bits_golden")
     assert golden.dtype == np.uint8 and np.array_equal(golden, binarized_rows)
@@ -222,8 +279,8 @@ def test_first_layer_gemm_runs_once_per_chunk(monkeypatch, name, dtype):
     dtypes = []
     real = netio._pixel_matmul
 
-    def recording(a, w):
-        out = real(a, w)
+    def recording(*args):
+        out = real(*args)
         dtypes.append(out.dtype)
         return out
 
