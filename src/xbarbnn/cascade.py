@@ -126,8 +126,7 @@ def decide_batch(kind: str, intervals: np.ndarray, lengths, refs: ReferenceSet) 
         return (intervals > mid).any(axis=1)
     vector_size = sum(lengths)
     # Each bound sum is at most the vector size, so int32 tables and sums are
-    # exact; `take` gathers from any integer interval dtype without an intp
-    # index array per fancy index.
+    # exact; `take` reads any integer interval dtype and layout.
     if kind == "F1":
         # Certified lower bound per segment: the highest reference strictly
         # below the count; a readout in the bottom interval certifies none.

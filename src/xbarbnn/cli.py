@@ -297,13 +297,13 @@ CHAIN_SPLITS = ((8, 7), (8, 14), (8, 23), (16, 12), (16, 28), (16, 40))
 
 
 def _batched_chain_matches_scalar(rows: int, fan_in: int, kind: str, count: int, x: int, rng) -> bool:
-    """`netio._fc_bits_crossbar` on the segment dots of random bit matrices against
-    `crossbar.layer_forward` per (input row, neuron)."""
+    """`netio._fc_bits_crossbar` on the segment dots of random bit matrices
+    against `crossbar.layer_forward` per (input row, neuron)."""
     cfg = crossbar.CrossbarConfig(rows, rows)
-    refs = crossbar.ReferenceSet(crossbar.segment_lengths(fan_in, rows)[0], x, count)
+    lengths = crossbar.segment_lengths(fan_in, rows)
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
     a = rng.integers(0, 2, (16, fan_in), dtype=np.uint8)
     w = rng.integers(0, 2, (4, fan_in), dtype=np.uint8)
-    lengths = crossbar.segment_lengths(fan_in, rows)
     got = netio._fc_bits_crossbar(netio._segment_dots(a, w, lengths), lengths, netio.CrossbarBackend(cfg, refs, kind))
     policy = cascade.CascadePolicy(kind, refs)
     groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
