@@ -1,9 +1,10 @@
 """Network topology descriptions, weight/dataset containers, and the
 end-to-end inference runner that compares the crossbar execution against the
-exact software model. The two chains share the non-binarized prefix (the
-u8 x i8 first layer and any pool after it), which runs once, and the
-product of the first binarized weight layer, which also runs once; they
-diverge at that layer's decisions.
+exact software model. The runner moves both chains through the layers in
+lockstep and shares work by tensor identity: while the crossbar tensor is the
+golden one (the same object), a layer runs once for both. The first
+binarized layer's per-segment dots are also computed once; the chains
+diverge at its decisions.
 
 Conv activations are NHWC (batch, height, width, channels) from the images
 to the first FC layer, which flattens them in the (c, h, w) order of its
@@ -503,21 +504,6 @@ def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
     return functools.reduce(np.maximum, [rows[:, :, j:w:size] for j in range(size)])
 
 
-def _shared_prefix_end(net: NetworkSpec) -> int:
-    """Index in `net.layers` of the first binarized weight layer. The layers
-    before it (the non-binarized first layer and any pool after it) are the
-    same in both chains; with no binarized layer it is the whole net."""
-    return next(
-        (i for i, l in enumerate(net.layers) if not isinstance(l, PoolLayer) and l.binarized),
-        len(net.layers),
-    )
-
-
-def _weight_index(net: NetworkSpec, i: int) -> int:
-    """Index in `weights.arrays` of the first weight layer from `net.layers[i]` on."""
-    return sum(not isinstance(l, PoolLayer) for l in net.layers[:i])
-
-
 def _activation(layer, bits: np.ndarray, batch: int) -> np.ndarray:
     """Activation tensor of a weight layer from its (input rows, outputs)
     bits: NHWC (B, oh, ow, O) for a conv, a plain reshape of its
@@ -527,46 +513,34 @@ def _activation(layer, bits: np.ndarray, batch: int) -> np.ndarray:
     return np.ascontiguousarray(bits, dtype=np.uint8)
 
 
-def _forward(net, weights, x, start, stop, mode, backend, tie_high):
-    """Run `net.layers[start:stop]` on the activations `x` entering layer
-    `start`; returns (output, activation bit tensor of each weight layer
-    run). The final weight layer outputs its raw class scores."""
-    acts = []
-    n_weight = len(net.weight_layers)
-    wi = _weight_index(net, start)
-    for layer in net.layers[start:stop]:
-        if isinstance(layer, PoolLayer):
-            x = _pool_or(x, layer.size)
-            continue
-        w = weights.arrays[wi].reshape(layer.weight_shape[0], -1)
-        wi += 1
-        if not layer.binarized:
-            bits = _pixel_matmul(x, w, layer) >= 0
-        elif wi == n_weight:
-            return _signed_matmul(x, w, layer), acts  # raw class scores, no thresholding
-        elif mode == "golden":
-            (dot,) = _segment_dots(x, w, (layer.fan_in,), layer)
-            bits = _fc_bits_golden(dot, tie_high)
-        else:
-            lengths = segment_lengths(layer.fan_in, backend.config.rows)
-            bits = _fc_bits_crossbar(_segment_dots(x, w, lengths, layer), lengths, backend)
-        x = _activation(layer, bits, len(x))
-        acts.append(x)
-    return x, acts
+def _each(f, golden, crossbar):
+    """`f` of both chains' tensors: once while they are the same object, and
+    not of an absent (None) crossbar chain."""
+    if crossbar is golden:
+        out = f(golden)
+        return out, out
+    return f(golden), None if crossbar is None else f(crossbar)
 
 
-def _first_binarized(net, weights, x, i, backend, tie_high):
-    """Both chains' activations of `net.layers[i]`, the first binarized
-    layer, on the shared input `x`. Its per-segment signed dots are computed
-    once: the crossbar chain senses them, and the golden bit is the sign of
-    their sum."""
-    layer = net.layers[i]
-    w = weights.arrays[_weight_index(net, i)].reshape(layer.weight_shape[0], -1)
-    lengths = segment_lengths(layer.fan_in, backend.config.rows)
-    dots = _segment_dots(x, w, lengths, layer)
-    golden = _fc_bits_golden(sum(dots), tie_high)
-    crossbar = _fc_bits_crossbar(dots, lengths, backend)
-    return _activation(layer, golden, len(x)), _activation(layer, crossbar, len(x))
+def _binarized(layer, w, golden, crossbar, backend, tie_high):
+    """Both chains' activations of a binarized layer that is not the last.
+    The crossbar's per-segment dots are computed once: while the chains
+    share their input, the golden bit is the sign of their sum; otherwise
+    the golden one-segment dot is computed and freed before them, so peak
+    memory holds one chain's dots at a time."""
+    batch = len(golden)
+    if crossbar is golden:
+        lengths = segment_lengths(layer.fan_in, backend.config.rows)
+        dots = _segment_dots(golden, w, lengths, layer)
+        golden_bits = _fc_bits_golden(sum(dots), tie_high)
+    else:
+        golden_bits = _fc_bits_golden(_segment_dots(golden, w, (layer.fan_in,), layer)[0], tie_high)
+        if crossbar is None:
+            return _activation(layer, golden_bits, batch), None
+        lengths = segment_lengths(layer.fan_in, backend.config.rows)
+        dots = _segment_dots(crossbar, w, lengths, layer)
+    crossbar_bits = _fc_bits_crossbar(dots, lengths, backend)
+    return _activation(layer, golden_bits, batch), _activation(layer, crossbar_bits, batch)
 
 
 # Images per pass through the chains: bounds peak memory for any dataset size.
@@ -585,49 +559,60 @@ def run_inference(
     the per-layer fraction of activation bits that differ from the exact
     software chain.
 
-    The chains share the non-binarized prefix (mismatch 0), which runs once.
-    On the crossbar backend the first binarized layer is computed once for
-    both chains too: its per-segment signed dots give the crossbar bits, and
-    their sum gives the golden bits. The chains run independently after it,
-    and from it when it is the last layer (raw scores, nothing sensed).
-    Images pass in chunks of `_CHUNK`; integer counts are summed over chunks
-    and divided once, so the report does not depend on the chunk size.
-    `images` are (N, H, W) single-channel, or NHWC (N, H, W, C)."""
+    One pass over `net.layers` carries both chains' tensors in lockstep.
+    While the chains agree the crossbar tensor is the golden one (the same
+    object), and each layer runs once for both: the non-binarized first
+    layer, any pool after it, and the final scores of a net with no other
+    binarized layer. The first binarized layer's per-segment dots are
+    computed once too; the crossbar chain senses them, and their sum gives
+    the golden bits. A layer whose two outputs are the same object counts 0
+    mismatch without a compare; the golden backend carries no crossbar
+    tensor. The net must end in an FC layer (a conv scores each window, not
+    each image). Images pass in chunks of `_CHUNK`; integer counts are
+    summed over chunks and divided once, so the report does not depend on
+    the chunk size. `images` are (N, H, W) single-channel, or NHWC
+    (N, H, W, C)."""
     weights.validate(net)
+    layers = net.weight_layers
+    if not isinstance(layers[-1], FCLayer):
+        raise ValueError(f"the net must end in an FC layer, not a {type(layers[-1]).__name__}")
     if len(images) != len(labels) or not len(labels):
         raise ValueError(f"{len(images)} images vs {len(labels)} labels: need one label per image, and an image")
     if images.ndim == 3:
         images = images[..., None]
-    split = _shared_prefix_end(net)
-    # false when there is no binarized layer, or when it is the last weight
-    # layer, whose raw scores are not sensed
-    shared_first = backend != "golden" and _weight_index(net, split) < len(weights.arrays) - 1
-    start = split + 1 if shared_first else split
+    acts = len(layers) - layers[-1].binarized  # weight layers that threshold: all but raw scores
     golden_correct = correct = 0
-    mismatched = total = 0  # become per-activation-layer arrays at the first chunk
+    mismatched, total = [0] * acts, [0] * acts
     for lo in range(0, len(labels), _CHUNK):
+        golden = images[lo : lo + _CHUNK]
+        crossbar = None if backend == "golden" else golden
+        i = 0  # weight layer index
+        for layer in net.layers:
+            if isinstance(layer, PoolLayer):
+                golden, crossbar = _each(lambda x: _pool_or(x, layer.size), golden, crossbar)
+                continue
+            w = weights.arrays[i].reshape(layer.weight_shape[0], -1)
+            if not layer.binarized:
+                golden, crossbar = _each(
+                    lambda x: _activation(layer, _pixel_matmul(x, w, layer) >= 0, len(x)), golden, crossbar
+                )
+            elif i < acts:
+                golden, crossbar = _binarized(layer, w, golden, crossbar, backend, tie_high)
+            else:  # raw class scores, no thresholding
+                golden, crossbar = _each(lambda x: _signed_matmul(x, w, layer), golden, crossbar)
+            if i < acts and crossbar is not None:
+                mismatched[i] += 0 if crossbar is golden else int((golden != crossbar).sum())
+                total[i] += golden.size
+            i += 1
         chunk_labels = labels[lo : lo + _CHUNK]
-        x, shared = _forward(net, weights, images[lo : lo + _CHUNK], 0, split, "golden", None, tie_high)
-        golden_x = crossbar_x = x
-        if shared_first:
-            golden_x, crossbar_x = _first_binarized(net, weights, x, split, backend, tie_high)
-        scores, golden_acts = _forward(net, weights, golden_x, start, None, "golden", None, tie_high)
-        golden_correct += int((scores.argmax(axis=1) == chunk_labels).sum())
-        if backend == "golden":
-            continue
-        scores, acts = _forward(net, weights, crossbar_x, start, None, "crossbar", backend, tie_high)
-        correct += int((scores.argmax(axis=1) == chunk_labels).sum())
-        if shared_first:
-            golden_acts, acts = [golden_x] + golden_acts, [crossbar_x] + acts
-        diffs = [int((g != c).sum()) for g, c in zip(golden_acts, acts)]
-        mismatched += np.array([0] * len(shared) + diffs, dtype=np.int64)
-        total += np.array([a.size for a in shared + acts], dtype=np.int64)
+        g, c = _each(lambda scores: int((scores.argmax(axis=1) == chunk_labels).sum()), golden, crossbar)
+        golden_correct += g
+        correct += c or 0
     n = len(labels)
     if backend == "golden":
         return InferenceReport("golden", n, golden_correct / n, golden_correct / n, ())
-    names = [type(l).__name__ for l in net.weight_layers]
     layer_mismatch = tuple(
-        (f"{i}:{names[i]}", int(m) / int(t)) for i, (m, t) in enumerate(zip(mismatched, total))
+        (f"{i}:{type(layers[i]).__name__}", m / t) for i, (m, t) in enumerate(zip(mismatched, total))
     )
     kind = f"crossbar/{backend.policy_kind}"
     return InferenceReport(kind, n, correct / n, golden_correct / n, layer_mismatch)

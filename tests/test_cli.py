@@ -30,6 +30,9 @@ BAD_CONFIGS = [
      "layer 1 (fan-in 1500 = 512+512+476): F1 needs"),
     # a config file can name a policy that --policy's choices would refuse
     (["infer", "--config", str(Path(__file__).with_name("configs") / "policy-xor.json")], "unknown cascade kind 'XOR'"),
+    # a conv as the last weight layer scores each window, not each image
+    (["infer", "--topology", "5x5,6 - 2x2 Pool - 3x3,10", "--synthetic", "4", "--seed", "1"],
+     "must end in an FC layer"),
 ]
 
 
@@ -39,7 +42,7 @@ BAD_CONFIGS = [
     ids=[
         "tail-512+8", "lenet5-64x64", "unknown-token", "bad-geometry", "refs-outside-segment", "unknown-network",
         "missing-weights", "missing-images", "missing-config", "missing-params", "f1-one-ref-split",
-        "unknown-policy-in-config",
+        "unknown-policy-in-config", "conv-last",
     ],
 )
 def test_bad_configuration_is_one_line_and_exit_2(capsys, argv, reason):

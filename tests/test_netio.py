@@ -272,6 +272,29 @@ def test_report_does_not_depend_on_the_chunk_size(monkeypatch, backend):
     assert _lenet5_run(20, backend).to_dict() == whole
     if backend != "golden":
         assert any(m["mismatch"] > 0 for m in whole["layer_mismatch"])
+        # the crossbar chain never leaks into the golden one
+        assert whole["golden_accuracy"] == _lenet5_run(20, "golden").accuracy
+
+
+def test_chains_that_never_diverge_share_every_layer(monkeypatch):
+    # the only binarized layer gives raw scores: nothing is sensed
+    net = parse_topology("FC(784) - FC(600) - FC(10)")
+    calls = []
+    real = netio._signed_matmul
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(netio, "_signed_matmul", recording)
+    monkeypatch.setattr(netio, "_CHUNK", 7)
+    rng = np.random.default_rng(4)
+    images = rng.integers(0, 256, (20, 28, 28), dtype=np.uint8)
+    backend = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
+    report = run_inference(net, WeightContainer.random(net, 1), images, rng.integers(0, 10, 20), backend)
+    assert len(calls) == 3  # once per chunk, for both chains
+    assert report.accuracy == report.golden_accuracy
+    assert [m for _, m in report.layer_mismatch] == [0.0]
 
 
 @pytest.mark.parametrize("name, dtype", [("lenet-5", np.float32), ("mlp-s", np.float64)])
