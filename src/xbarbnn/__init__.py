@@ -24,7 +24,6 @@ from .crossbar import (
     layer_forward,
     map_weights,
     sa_read,
-    sa_read_batch,
     segment_lengths,
 )
 from .dataflow import ConvLayer, ConvWindowBuffer, TransactionLog, layout_kernels, run_layer

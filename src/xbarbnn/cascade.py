@@ -2,21 +2,30 @@
 activation bit, plus exact and Monte-Carlo accuracy-loss analyses of the
 mismatch regions they induce against the unsplit majority decision.
 
-Policies:
+A policy is a bound table plus one threshold (`policy_bounds`): each
+segment's bound starts at its bottom-interval value and rises at each of its
+reference levels, and the policy fires iff the segment bounds sum to at
+least the threshold. One table per policy serves both evaluators:
+`decide_counts` adds the rises with one compare per (segment, level) and is
+the batched path of inference, Monte-Carlo and the census; `decide_batch`
+reads the tables at SA interval indices for the scalar `cascade`.
 
-* AND / OR: every / any segment above its main reference.
-* F1 (conservative): fires only when the reference levels proven to lie
-  below the per-segment counts already certify a strict majority, so it
-  never produces a false positive.
-* F2 (relaxed): the dual of F1. It fires when the upper edges of the
-  per-segment intervals (the lowest reference at or above each count, or
-  the segment length in the top interval) sum to more than half the vector
-  size. Every true count is at most its upper edge, so a true majority
-  always fires F2: it never produces a false negative. Every upper edge is
-  itself a possible count, so no complete rule that sees only the readouts
-  fires less often; its loss is a small false-positive region. Upper edges
-  lie strictly above the certified lower bounds, so F2 fires wherever F1
-  does.
+Policies (n the vector size, k the segment count):
+
+* AND / OR: the bound is 1 above the main reference; fire at k / at 1.
+* F1 (conservative): the bound is the certified lower bound, the highest
+  reference strictly below the count, and -n in the bottom interval, so an
+  uncertified segment can never fire; fire at ceil(n/2). It fires only when
+  the certified bounds already make a majority, so it never produces a
+  false positive.
+* F2 (relaxed): the dual of F1. The bound is the upper edge of the
+  interval: the lowest reference at or above the count, or the segment
+  length in the top interval; fire at floor(n/2) + 1. Every true count is at
+  most its upper edge, so a true majority always fires F2: it never produces
+  a false negative. Every upper edge is itself a possible count, so no
+  complete rule that sees only the readouts fires less often; its loss is a
+  small false-positive region. Upper edges lie strictly above the certified
+  lower bounds, so F2 fires wherever F1 does.
 
 Both rules sum bounds over any number of segments of any lengths. On two
 equal halves of even length, F2 gives the same bits as the paper's
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar import ReferenceSet, SAReadout, sa_read_batch
+from .crossbar import ReferenceSet, SAReadout
 
 POLICY_KINDS = ("AND", "OR", "F1", "F2")
 
@@ -107,56 +116,72 @@ class MonteCarloLoss:
     ci_high: float
 
 
-def decide_batch(kind: str, intervals: np.ndarray, lengths, refs: ReferenceSet) -> np.ndarray:
-    """Vectorized cascade decision.
+def policy_bounds(kind: str, lengths, refs: ReferenceSet) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], int]:
+    """A cascade policy as bound tables plus a threshold.
 
-    intervals: (batch, segments) interval indices from the SA readouts.
-    lengths: logical length of each segment; the vector size is their sum.
-    refs: the reference layout, retargeted to each segment with
-    `refs.for_segment`.
-    Returns a boolean array of activation bits. Raises ValueError on a
-    kind outside `POLICY_KINDS`.
+    Returns, per segment of `lengths`, its reference levels (`refs`
+    retargeted with `refs.for_segment`) and its bound in each of the
+    count + 1 SA intervals, bottom first; the bound rises at each level.
+    The policy fires iff the segment bounds sum to at least the threshold.
+    The tables have a signed integer dtype that holds every bound sum.
+    Raises ValueError on a kind outside `POLICY_KINDS`.
     """
     check_kind(kind)
+    n, k, mid = sum(lengths), len(lengths), (refs.count - 1) // 2
+    # every bound lies in [-n, n]; k of them and the threshold are summed
+    dtype = np.int32 if (k + 1) * n < 2**31 else np.int64
+    tables = []
+    for m in lengths:
+        levels = refs.for_segment(m).levels()
+        if kind in ("AND", "OR"):
+            bounds = [0] * (mid + 1) + [1] * (refs.count - mid)
+        elif kind == "F1":
+            bounds = [-n, *levels]
+        else:
+            bounds = [*levels, m]
+        tables.append((levels, np.asarray(bounds, dtype)))
+    threshold = {"AND": k, "OR": 1, "F1": (n + 1) // 2, "F2": n // 2 + 1}[kind]
+    return tables, threshold
+
+
+def decide_batch(kind: str, intervals: np.ndarray, lengths, refs: ReferenceSet) -> np.ndarray:
+    """Cascade decision from SA readouts, the evaluator of the scalar
+    `cascade`: each segment's bound is read from its `policy_bounds` table
+    with one `take`, and the bounds are summed.
+
+    intervals: (batch, segments) interval indices from the SA readouts, of
+    any integer dtype and layout.
+    lengths: logical length of each segment; the vector size is their sum.
+    Returns a boolean array of activation bits.
+    """
+    tables, threshold = policy_bounds(kind, lengths, refs)
     intervals = np.asarray(intervals)
-    mid = (refs.count - 1) // 2
-    if kind == "AND":
-        return (intervals > mid).all(axis=1)
-    if kind == "OR":
-        return (intervals > mid).any(axis=1)
-    vector_size = sum(lengths)
-    # Each bound sum is at most the vector size, so int32 tables and sums are
-    # exact; `take` reads any integer interval dtype and layout.
-    if kind == "F1":
-        # Certified lower bound per segment: the highest reference strictly
-        # below the count; a readout in the bottom interval certifies none.
-        lo_sum = np.zeros(intervals.shape[0], dtype=np.int32)
-        all_certified = np.ones(intervals.shape[0], dtype=bool)
-        for s, m in enumerate(lengths):
-            lows = np.asarray([0, *refs.for_segment(m).levels()], dtype=np.int32)
-            t = intervals[:, s]
-            lo_sum += lows.take(t)
-            all_certified &= t >= 1
-        return all_certified & (2 * lo_sum >= vector_size)
-    # F2: upper edge per segment, the lowest reference at or above the count
-    # (the segment length in the top interval); fire when the largest count
-    # sum consistent with the readouts is a strict majority.
-    hi_sum = np.zeros(intervals.shape[0], dtype=np.int32)
-    for s, m in enumerate(lengths):
-        highs = np.asarray([*refs.for_segment(m).levels(), m], dtype=np.int32)
-        hi_sum += highs.take(intervals[:, s])
-    return 2 * hi_sum > vector_size
+    total = np.zeros(intervals.shape[0], tables[0][1].dtype)
+    for s, (_, bounds) in enumerate(tables):
+        total += bounds.take(intervals[:, s])
+    return total >= threshold
 
 
 def decide_counts(kind: str, counts, lengths, refs: ReferenceSet) -> np.ndarray:
     """Cascade decision from per-segment column counts (one array per
-    segment, all of one shape): each segment is read out with
-    `sa_read_batch` against its retargeted references, then `decide_batch`
-    merges the readouts. Returns the activation bits, flattened."""
-    intervals = np.stack(
-        [sa_read_batch(np.ravel(c), refs.for_segment(m)) for c, m in zip(counts, lengths)], axis=1
-    )
-    return decide_batch(kind, intervals, lengths, refs)
+    segment, all of one shape, of any integer or float dtype holding
+    integers): the batched path of inference, the census and Monte-Carlo.
+
+    Each segment's bound is its bottom-interval value plus the rise at every
+    reference level its count exceeds, as a multi-reference SA senses it,
+    one compare per (segment, level); the bounds are summed in the
+    `policy_bounds` dtype. Counts outside 0..length land in the bottom or top
+    interval, as counting the references below them does. Returns the
+    activation bits, in the shape of the counts.
+    """
+    tables, threshold = policy_bounds(kind, lengths, refs)
+    dtype = tables[0][1].dtype
+    total = np.full(np.shape(counts[0]), sum(int(bounds[0]) for _, bounds in tables) - threshold, dtype)
+    for count, (levels, bounds) in zip(counts, tables):
+        for level, rise in zip(levels, np.diff(bounds)):
+            if rise:
+                total += np.greater(count, level) * rise
+    return total >= 0
 
 
 def cascade(policy: CascadePolicy, readouts: list[SAReadout], segment_lengths: list[int]) -> int:

@@ -118,16 +118,27 @@ def run_verification(nu_max: int = 10, progress=print) -> list[str]:
     shapes = " ".join("+".join(map(str, lengths)) for lengths in CASCADE_SPLITS)
     check(f"F1 sound / F2 complete over all count cells, splits {shapes}", ok, "cmd_verify cascade suite")
 
-    # the table readout equals the scalar comparator at every level of every
-    # segment length the cascade suite walks
-    ok = True
-    for n in sorted(set(itertools.chain(*CASCADE_SPLITS))):
-        for count, x in itertools.product((3, 5), range(1, n)):
-            if _admissible((n,), x, count):
-                refs = crossbar.ReferenceSet(n, x, count)
-                want = [crossbar.sa_read(d, refs).interval_index for d in range(n + 1)]
-                ok &= crossbar.sa_read_batch(np.arange(n + 1), refs).tolist() == want
-    check("table SA readout == scalar sa_read at every level, 3 and 5 references", ok, "cmd_verify readout suite")
+    # the batched count evaluator equals the interval one on scalar sa_read
+    # readouts: every count cell (a margin outside 0..length included) of
+    # every cascade split, so every level of every segment length, and
+    # mlp-l's splits on random counts around the references
+    rng = np.random.default_rng(4)
+    ok = all(
+        _evaluators_agree(lengths, x, count, _count_cells(lengths, 2))
+        for lengths in CASCADE_SPLITS
+        for count in (3, 5)
+        for x in range(1, min(lengths))
+        if _admissible(lengths, x, count)
+    )
+    ok &= all(
+        _evaluators_agree(lengths, x, count, _counts_near_references(lengths, x, count, 100_000, rng))
+        for lengths in MLPL_SPLITS
+        for count in (3, 5)
+        for x in (8, 16)
+    )
+    shapes = " ".join("+".join(map(str, lengths)) for lengths in MLPL_SPLITS)
+    check(f"decide_counts == decide_batch on sa_read intervals, 3 and 5 references, int64 and float32 counts, "
+          f"every count cell of the cascade splits, 10^5 tuples on {shapes}", ok, "cmd_verify evaluator suite")
 
     # the blocked pixel GEMM is exact at the float32 block width and past it
     ok = True
@@ -270,14 +281,8 @@ def _cascade_guarantees_hold(lengths, x: int, count: int) -> bool:
     cells is a majority (complete, and no complete rule fires less), and F2
     fires wherever F1 does."""
     refs = crossbar.ReferenceSet(lengths[0], x, count)
-    cells = np.array(list(itertools.product(*(range(n + 1) for n in lengths))))
-    intervals = np.stack(
-        [
-            np.array([crossbar.sa_read(d, refs.for_segment(n)).interval_index for d in range(n + 1)])[cells[:, s]]
-            for s, n in enumerate(lengths)
-        ],
-        axis=1,
-    )
+    cells = _count_cells(lengths, 0)
+    intervals = _scalar_intervals(cells, lengths, refs)
     golden = 2 * cells.sum(axis=1) > sum(lengths)
     f1 = cascade.decide_batch("F1", intervals, lengths, refs)
     f2 = cascade.decide_batch("F2", intervals, lengths, refs)
@@ -285,6 +290,52 @@ def _cascade_guarantees_hold(lengths, x: int, count: int) -> bool:
     some_majority = np.zeros((count + 1) ** len(lengths), dtype=bool)
     np.logical_or.at(some_majority, key, golden)
     return not (f1 & ~golden).any() and (f2 == some_majority[key]).all() and not (f1 & ~f2).any()
+
+
+# mlp-l's real splits: 1500 and 1000 over 512 rows
+MLPL_SPLITS = ((512, 512, 476), (512, 488))
+
+
+def _count_cells(lengths, margin: int) -> np.ndarray:
+    """Every per-segment count tuple, each count from -margin to its
+    segment length + margin: one row per cell."""
+    return np.array(list(itertools.product(*(range(-margin, n + margin + 1) for n in lengths))))
+
+
+def _counts_near_references(lengths, x: int, count: int, size: int, rng) -> np.ndarray:
+    """`size` random count tuples, each count uniform within 2x of its
+    segment's lowest and highest references."""
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
+    cols = []
+    for n in lengths:
+        levels = refs.for_segment(n).levels()
+        cols.append(rng.integers(levels[0] - 2 * x, levels[-1] + 2 * x + 1, size))
+    return np.stack(cols, axis=1)
+
+
+def _scalar_intervals(cells: np.ndarray, lengths, refs) -> np.ndarray:
+    """The scalar `sa_read` interval of every count in the count cells (one
+    row per tuple), each count clipped into 0..its segment length; `sa_read`
+    runs once per level."""
+    cols = []
+    for s, n in enumerate(lengths):
+        table = np.array([crossbar.sa_read(d, refs.for_segment(n)).interval_index for d in range(n + 1)])
+        cols.append(table[np.clip(cells[:, s], 0, n)])
+    return np.stack(cols, axis=1)
+
+
+def _evaluators_agree(lengths, x: int, count: int, cells: np.ndarray) -> bool:
+    """`cascade.decide_counts` on the count cells, as int64 and as float32,
+    against `cascade.decide_batch` on their scalar `sa_read` intervals, for
+    every policy kind."""
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
+    intervals = _scalar_intervals(cells, lengths, refs)
+    ok = True
+    for kind in cascade.POLICY_KINDS:
+        want = cascade.decide_batch(kind, intervals, lengths, refs)
+        for dtype in (np.int64, np.float32):
+            ok &= np.array_equal(cascade.decide_counts(kind, cells.T.astype(dtype), lengths, refs), want)
+    return bool(ok)
 
 
 # one float32 block of 514 columns (255 * 128 * 514 <= 2^24), and one column

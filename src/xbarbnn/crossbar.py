@@ -8,13 +8,12 @@ per-column threshold readouts.
 
 `segment_lengths` is the only split policy: every caller that splits a
 vector (the mapping below, the batched inference chain, the cost model)
-asks it for the segment lengths. `sa_read_batch` is the batched SA readout:
-a lookup table from every column level a segment can reach to the interval
-index its references give, which is what a multi-reference SA computes with
-one comparator per reference. The per-vector path (`map_weights`,
-`split_inputs`, `sa_read`, `layer_forward`) works on packed `BinaryTensor`s
-one decision at a time; it is the oracle the batched chain is tested
-against.
+asks it for the segment lengths. The batched SA readout lives in
+`cascade.decide_counts`, which compares every column count with each
+reference level once, as a multi-reference SA does with one comparator per
+reference. The per-vector path (`map_weights`, `split_inputs`, `sa_read`,
+`layer_forward`) works on packed `BinaryTensor`s one decision at a time; it
+is the oracle the batched chain is tested against.
 """
 
 from __future__ import annotations
@@ -167,22 +166,6 @@ def sa_read(level: int, refs: ReferenceSet) -> SAReadout:
         raise ValueError(f"level {level} outside [0, {refs.segment_length}]")
     idx = sum(level > r for r in refs.levels())
     return SAReadout(idx, refs.count)
-
-
-def sa_read_batch(levels: np.ndarray, refs: ReferenceSet) -> np.ndarray:
-    """Interval index of every integer level in an array, as `sa_read` gives
-    it one level at a time: the number of references strictly below the
-    level. The result has the shape of `levels`.
-
-    The indices of the levels 0..segment_length are tabulated once and each
-    level is looked up. Levels outside that range are clipped into it, which
-    gives the index counting would (0 below, `refs.count` above), so they
-    need no range check. Integer levels only. The table has the smallest
-    unsigned dtype that holds `refs.count`.
-    """
-    m = refs.segment_length
-    table = np.searchsorted(np.asarray(refs.levels()), np.arange(m + 1), side="left")
-    return np.take(table.astype(np.min_scalar_type(refs.count)), levels, mode="clip")
 
 
 def layer_forward(inputs: BinaryTensor, group: MappedColumnGroup, refs: ReferenceSet, policy) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cascade as _cascade
-from .crossbar import CrossbarConfig, ReferenceSet, sa_read_batch, segment_lengths
+from .crossbar import CrossbarConfig, ReferenceSet, segment_lengths
 from .dataflow import ConvLayer
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -479,20 +479,20 @@ def _fc_bits_golden(dot: np.ndarray, tie_high: bool) -> np.ndarray:
 
 
 def _fc_bits_crossbar(dots: list, lengths: tuple[int, ...], backend: CrossbarBackend) -> np.ndarray:
-    """Activation bits of a binary layer through the crossbar model,
-    vectorized over rows/outputs, from the signed dots of each segment of
-    its fan-in split `lengths` on the backend's arrays."""
-    counts = []  # popcount of each segment XNOR: (m + dot) / 2
+    """Activation bits of a binary layer through the crossbar model, in the
+    shape of its dots, from the signed float dots of each segment of its
+    fan-in split `lengths` on the backend's arrays. Each dot becomes its
+    segment's XNOR popcount (m + dot) / 2 in place, so the dots are consumed;
+    m + dot is even, so the halving is exact. One segment is sensed against
+    its main reference; several pass through `cascade.decide_counts`."""
     for dot, m in zip(dots, lengths):
-        count = dot.astype(np.intp)
-        count += m
-        count >>= 1
-        counts.append(count)
+        dot += m
+        dot *= 0.5
     if len(lengths) == 1:
-        mid = (backend.refs.count - 1) // 2
-        return (sa_read_batch(counts[0], backend.refs.for_segment(lengths[0])) > mid).astype(np.uint8)
-    out = _cascade.decide_counts(backend.policy_kind, counts, lengths, backend.refs)
-    return out.reshape(counts[0].shape).astype(np.uint8)
+        bits = dots[0] > backend.refs.for_segment(lengths[0]).main
+    else:
+        bits = _cascade.decide_counts(backend.policy_kind, dots, lengths, backend.refs)
+    return bits.astype(np.uint8)
 
 
 def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
@@ -525,7 +525,8 @@ def _each(f, golden, crossbar):
 def _binarized(layer, w, golden, crossbar, backend, tie_high):
     """Both chains' activations of a binarized layer that is not the last.
     The crossbar's per-segment dots are computed once: while the chains
-    share their input, the golden bit is the sign of their sum; otherwise
+    share their input, the golden bit is the sign of their sum, taken before
+    `_fc_bits_crossbar` turns the dots into counts in place; otherwise
     the golden one-segment dot is computed and freed before them, so peak
     memory holds one chain's dots at a time."""
     batch = len(golden)

@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from xbarbnn import cascade as cas
+from xbarbnn.cli import (
+    CASCADE_SPLITS,
+    MLPL_SPLITS,
+    _admissible,
+    _count_cells,
+    _counts_near_references,
+    _scalar_intervals,
+)
 from xbarbnn.crossbar import ReferenceSet, sa_read
 
 
@@ -122,8 +130,8 @@ class TestCascadeRules:
     @pytest.mark.parametrize("kind", ["F1", "F2"])
     @pytest.mark.parametrize("count, small", [(3, np.uint8), (301, np.uint16)])
     def test_bits_do_not_depend_on_interval_dtype_or_layout(self, rng, kind, count, small):
-        # mlp-l's layer-1 split; sa_read_batch returns uint8 up to 255
-        # references and uint16 beyond
+        # mlp-l's layer-1 split; a readout needs uint8 up to 255 references
+        # and uint16 beyond
         lengths, refs = (512, 512, 476), ReferenceSet(512, 1, count)
         intervals = rng.integers(0, count + 1, (2000, 3))
         # int64 reference: per-segment bound tables indexed row by row
@@ -153,6 +161,66 @@ class TestCascadeRules:
                 v2 = cas.cascade(f2, r, lengths)
                 assert not (v1 == 1 and golden == 0), (x, d1, d2)
                 assert not (v2 == 0 and golden == 1), (x, d1, d2)
+
+
+def _layouts(lengths, count):
+    return [ReferenceSet(lengths[0], x, count) for x in range(1, min(lengths)) if _admissible(lengths, x, count)]
+
+
+def _assert_evaluators_agree(cells, lengths, refs):
+    intervals = _scalar_intervals(cells, lengths, refs)
+    for kind in cas.POLICY_KINDS:
+        want = cas.decide_batch(kind, intervals, lengths, refs)
+        for dtype in (np.int64, np.float32):
+            got = cas.decide_counts(kind, cells.T.astype(dtype), lengths, refs)
+            assert np.array_equal(got, want), (kind, refs, dtype)
+
+
+class TestEvaluatorsAgree:
+    """`decide_counts` (per-level compares on counts) against `decide_batch`
+    (bound tables read at the scalar `sa_read` intervals)."""
+
+    @pytest.mark.parametrize(
+        "lengths, count",
+        [(t, c) for t in CASCADE_SPLITS for c in (3, 5) if _layouts(t, c)],
+        ids=lambda v: "+".join(map(str, v)) if isinstance(v, tuple) else f"refs{v}",
+    )
+    def test_every_count_cell_of_every_cascade_split(self, lengths, count):
+        cells = _count_cells(lengths, 2)  # counts two past either end of every segment
+        for refs in _layouts(lengths, count):
+            _assert_evaluators_agree(cells, lengths, refs)
+
+    @pytest.mark.parametrize("lengths", MLPL_SPLITS, ids=lambda t: str(sum(t)))
+    @pytest.mark.parametrize("count, x", [(3, 16), (3, 8), (5, 16), (5, 8)])
+    def test_mlpl_splits_on_counts_near_the_references(self, rng, lengths, count, x):
+        cells = _counts_near_references(lengths, x, count, 100_000, rng)
+        _assert_evaluators_agree(cells, lengths, ReferenceSet(lengths[0], x, count))
+
+
+class TestPolicyBounds:
+    def test_tables_and_thresholds(self):
+        refs, lengths = ReferenceSet(16, 2, 3), (16, 12)  # levels (6, 8, 10) and (4, 6, 8)
+        want = {
+            "AND": ([[0, 0, 1, 1], [0, 0, 1, 1]], 2),
+            "OR": ([[0, 0, 1, 1], [0, 0, 1, 1]], 1),
+            "F1": ([[-28, 6, 8, 10], [-28, 4, 6, 8]], 14),
+            "F2": ([[6, 8, 10, 16], [4, 6, 8, 12]], 15),
+        }
+        for kind, (bounds, threshold) in want.items():
+            tables, got = cas.policy_bounds(kind, lengths, refs)
+            assert [levels for levels, _ in tables] == [(6, 8, 10), (4, 6, 8)]
+            assert [t.tolist() for _, t in tables] == bounds
+            assert got == threshold
+
+    def test_sums_past_int32_switch_to_int64(self):
+        # 23200 segments of 4: the F1 bottoms sum to -4 * 23200^2 < -2^31,
+        # which int32 would wrap into a false fire
+        lengths, refs = (4,) * 23200, ReferenceSet(4, 1, 3)
+        assert cas.policy_bounds("F1", lengths, refs)[0][0][1].dtype == np.int64
+        assert cas.policy_bounds("F1", lengths[:100], refs)[0][0][1].dtype == np.int32
+        zeros = np.zeros((len(lengths), 1), np.int64)
+        assert not cas.decide_counts("F1", zeros, lengths, refs)[0]
+        assert cas.decide_counts("F1", zeros + 4, lengths, refs)[0]
 
 
 class TestEventPredicates:

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_bits
 from xbarbnn.bincore import BinaryTensor, golden_activation, popcount, xnor
-from xbarbnn.cascade import CascadePolicy
+from xbarbnn.cascade import POLICY_KINDS, CascadePolicy, decide_batch, decide_counts
+from xbarbnn.cli import _scalar_intervals
 from xbarbnn.crossbar import (
     CrossbarConfig,
     ReferenceSet,
@@ -13,7 +14,6 @@ from xbarbnn.crossbar import (
     layer_forward,
     map_weights,
     sa_read,
-    sa_read_batch,
     split_inputs,
 )
 
@@ -85,7 +85,6 @@ class TestSaRead:
         seen = [sa_read(level, refs).interval_index for level in range(65)]
         assert seen == sorted(seen)
         assert seen[0] == 0 and seen[-1] == refs.count
-        assert sa_read_batch(np.arange(65), refs).tolist() == seen
 
     def test_out_of_range_rejected(self):
         refs = ReferenceSet(64)
@@ -95,8 +94,16 @@ class TestSaRead:
             sa_read(65, refs)
 
 
+def _sa_intervals(counts, refs) -> np.ndarray:
+    """Scalar `sa_read` interval of every count clipped into 0..length, flattened."""
+    return _scalar_intervals(np.ravel(counts)[:, None], (refs.segment_length,), refs)[:, 0]
+
+
 class TestSaReadBatch:
-    """The table readout against the scalar comparator and a reference count."""
+    """The batched SA readout, one compare per reference level inside
+    `decide_counts`, against `decide_batch` on the scalar comparator's
+    intervals: on two equal segments, every count of the first against
+    every count of the second, for every policy kind."""
 
     @pytest.mark.parametrize(
         "refs",
@@ -106,24 +113,36 @@ class TestSaReadBatch:
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_equals_sa_read_in_range_and_searchsorted_outside(self, refs, dtype):
         m = refs.segment_length
-        inside = np.arange(m + 1, dtype=dtype)
-        assert sa_read_batch(inside, refs).tolist() == [sa_read(int(v), refs).interval_index for v in inside]
-        outside = np.array([-3, -2, -1, m + 1, m + 2, m + 3], dtype=dtype)
-        got = sa_read_batch(outside, refs)
-        assert got.tolist() == np.searchsorted(np.asarray(refs.levels()), outside, side="left").tolist()
-        assert got.tolist() == [0, 0, 0, refs.count, refs.count, refs.count]
+        outside = np.array([-3, -2, -1, m + 1, m + 2, m + 3])
+        assert np.searchsorted(np.asarray(refs.levels()), outside, side="left").tolist() == [0] * 3 + [refs.count] * 3
+        assert _sa_intervals(outside, refs).tolist() == [0] * 3 + [refs.count] * 3
+        step = 1 if m <= 64 else 7  # the second segment's counts
+        first, second = np.meshgrid(np.concatenate([np.arange(m + 1), outside]), np.arange(0, m + 1, step))
+        intervals = np.stack([_sa_intervals(first, refs), _sa_intervals(second, refs)], axis=1)
+        for kind in POLICY_KINDS:
+            got = decide_counts(kind, (first.astype(dtype), second.astype(dtype)), (m, m), refs)
+            assert np.array_equal(got.ravel(), decide_batch(kind, intervals, (m, m), refs)), kind
 
     def test_index_dtype_holds_the_reference_count(self):
-        refs = ReferenceSet(512, 1, 301)
-        assert sa_read_batch(np.array([512]), refs).tolist() == [301]
-        assert sa_read_batch(np.array([0]), ReferenceSet(64, 7, 3)).dtype == np.uint8
+        # the top interval of 301 references needs a uint16 readout; the
+        # count evaluator holds no index and must agree with it
+        for refs, dtype in ((ReferenceSet(512, 1, 301), np.uint16), (ReferenceSet(64, 7, 3), np.uint8)):
+            m, levels = refs.segment_length, refs.levels()
+            second = np.array([0, *(v + 1 for v in levels)])  # one count per interval, bottom first
+            intervals = np.stack([np.full(len(second), refs.count), np.arange(refs.count + 1)], axis=1)
+            assert intervals.max() == refs.count and _sa_intervals(second, refs).tolist() == intervals[:, 1].tolist()
+            for kind in POLICY_KINDS:
+                got = decide_counts(kind, (np.full(len(second), m), second), (m, m), refs)
+                assert np.array_equal(got, decide_batch(kind, intervals.astype(dtype), (m, m), refs)), kind
 
     def test_keeps_the_shape_of_2d_levels(self, rng):
         refs = ReferenceSet(64, 7, 5)
-        levels = rng.integers(0, 65, (6, 9))
-        got = sa_read_batch(levels, refs)
-        assert got.shape == (6, 9)
-        assert got.tolist() == [[sa_read(int(v), refs).interval_index for v in row] for row in levels]
+        counts = rng.integers(0, 65, (2, 6, 9))
+        intervals = np.stack([_sa_intervals(c, refs) for c in counts], axis=1)
+        for kind in POLICY_KINDS:
+            got = decide_counts(kind, counts, (64, 64), refs)
+            assert got.shape == (6, 9)
+            assert np.array_equal(got.ravel(), decide_batch(kind, intervals, (64, 64), refs))
 
 
 class TestMapWeights:
