@@ -212,6 +212,16 @@ class TestPolicyBounds:
             assert [t.tolist() for _, t in tables] == bounds
             assert got == threshold
 
+    def test_f1_fires_only_with_every_segment_certified(self):
+        # 8+8+8+5 at distance 1: three full counts certify 5 + 5 + 5 = 15 =
+        # ceil(29/2), yet a tail in its bottom interval certifies nothing
+        lengths, refs = (8, 8, 8, 5), ReferenceSet(8, 1, 3)
+        for tail, fires in ((0, False), (1, False), (2, True)):
+            counts = ([8], [8], [8], [tail])
+            intervals = [[sa_read(c[0], refs.for_segment(m)).interval_index for c, m in zip(counts, lengths)]]
+            assert cas.decide_counts("F1", counts, lengths, refs)[0] == fires
+            assert cas.decide_batch("F1", intervals, lengths, refs)[0] == fires
+
     def test_sums_past_int32_switch_to_int64(self):
         # 23200 segments of 4: the F1 bottoms sum to -4 * 23200^2 < -2^31,
         # which int32 would wrap into a false fire
