@@ -79,10 +79,6 @@ class LossRegionReport:
     def loss_fraction(self) -> float:
         return self.mismatches / self.total_pairs
 
-    @property
-    def by_region(self) -> dict:
-        return {"false_positive": self.false_positives, "false_negative": self.false_negatives}
-
 
 @dataclass(frozen=True)
 class DistSpec:

@@ -230,6 +230,10 @@ class WeightContainer:
 
     @classmethod
     def load(cls, path) -> "WeightContainer":
+        """Read a file written by `save`. Raises WeightFormatError on a bad
+        magic, checksum or version, a truncated layer header, a payload
+        whose length does not match its dims (ceil(n / 8) bytes of bits, n
+        int8 bytes), and bytes left after the last layer."""
         with open(path, "rb") as f:
             blob = f.read()
         if len(blob) < 12 or blob[:4] != _WEIGHT_MAGIC:
@@ -241,24 +245,32 @@ class WeightContainer:
         if version != _WEIGHT_VERSION:
             raise WeightFormatError(f"unsupported version {version}")
         off = 8
+
+        def take(fmt: str, what: str) -> tuple:
+            nonlocal off
+            size = struct.calcsize(fmt)
+            if off + size > len(body):
+                raise WeightFormatError(f"{what} truncated at byte {off}")
+            off += size
+            return struct.unpack_from(fmt, body, off - size)
+
         arrays = []
         for i in range(count):
-            binary, ndim = struct.unpack_from("<BB", body, off)
-            off += 2
-            dims = struct.unpack_from(f"<{ndim}I", body, off)
-            off += 4 * ndim
-            (plen,) = struct.unpack_from("<I", body, off)
-            off += 4
-            payload = body[off : off + plen]
-            if len(payload) != plen:
-                raise WeightFormatError(f"layer {i}: truncated payload at byte {off}")
-            off += plen
+            binary, ndim = take("<BB", f"layer {i}: header")
+            dims = take(f"<{ndim}I", f"layer {i}: dims")
+            (plen,) = take("<I", f"layer {i}: payload length")
             n = int(np.prod(dims))
+            want = -(-n // 8) if binary else n
+            if plen != want:
+                raise WeightFormatError(f"layer {i}: {plen}-byte payload for dims {dims}, expected {want} bytes")
+            (payload,) = take(f"<{plen}s", f"layer {i}: payload")
             if binary:
                 arr = np.unpackbits(np.frombuffer(payload, np.uint8), count=n, bitorder="little")
                 arrays.append(arr.reshape(dims).astype(np.uint8))
             else:
                 arrays.append(np.frombuffer(payload, np.int8).reshape(dims).copy())
+        if off != len(body):
+            raise WeightFormatError(f"{len(body) - off} trailing bytes after the last layer")
         return cls(arrays)
 
 
@@ -572,7 +584,8 @@ def run_inference(
     each image). Images pass in chunks of `_CHUNK`; integer counts are
     summed over chunks and divided once, so the report does not depend on
     the chunk size. `images` are (N, H, W) single-channel, or NHWC
-    (N, H, W, C)."""
+    (N, H, W, C), at the net's input size: any other shape raises
+    ValueError."""
     weights.validate(net)
     layers = net.weight_layers
     if not isinstance(layers[-1], FCLayer):
@@ -581,6 +594,9 @@ def run_inference(
         raise ValueError(f"{len(images)} images vs {len(labels)} labels: need one label per image, and an image")
     if images.ndim == 3:
         images = images[..., None]
+    if images.shape[1:] != (net.input_h, net.input_w, net.input_channels):
+        got = "x".join(map(str, images.shape[1:]))
+        raise ValueError(f"images are {got} (HxWxC); the net takes {net.input_h}x{net.input_w}x{net.input_channels}")
     acts = len(layers) - layers[-1].binarized  # weight layers that threshold: all but raw scores
     golden_correct = correct = 0
     mismatched, total = [0] * acts, [0] * acts

@@ -1,0 +1,407 @@
+"""Exhaustive consistency checks at small sizes: `xbarbnn verify` runs them
+in order and tier-1 runs each as its own test (`tests/test_verify.py`).
+
+Each guarantee a docstring states, and the check in `CHECKS` that proves it:
+
+* F1 sound and F2 complete (`cascade`): `cascade_guarantees`, over every
+  count cell of every `CASCADE_SPLITS` split (`cascade_guarantees_hold`);
+  the census agrees with a raw pair walk on false positives and false
+  negatives apart (`census`).
+* The blocked pixel GEMM is exact (`netio._pixel_matmul`): `pixel_gemm`, at
+  the float32 block width of 514 columns and one column past one and two
+  blocks.
+* The conv band GEMM is exact (`netio._segment_dots`, `_pixel_matmul` on a
+  conv): `conv_gemm`, against an int64 dot per window (`window_dots`) on one,
+  two and three segments.
+* The conv dataflow equals im2col (`dataflow.run_layer`): `dataflow_dots`,
+  against the band GEMM's signed dot, which `conv_gemm` ties to the windows.
+* The closed-form bus words equal the transaction log
+  (`dataflow.streamed_words_per_layer`): `bus_words` (`bus_words_match`).
+
+The other checks tie the batched paths to the scalar model: the xnor and
+popcount identity, the no-split crossbar against the majority rule, the two
+cascade evaluators on each other (`evaluators_agree`), and the batched
+inference chain against `crossbar.layer_forward` (`chain_matches_scalar`).
+Every check returns True when its guarantee holds.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from . import bincore, cascade, crossbar, dataflow, netio
+
+NU_MAX = 10
+
+# two equal even halves (the paper's case), odd halves, unequal two-way
+# splits, and three- and four-way splits with short tails, as the greedy
+# splitter builds them
+CASCADE_SPLITS = (
+    (8, 8), (12, 12), (16, 16), (5, 5), (7, 7), (16, 12),
+    (8, 8, 8), (12, 12, 6), (6, 6, 6, 6), (8, 8, 8, 5),
+)
+
+# mlp-l's real splits: 1500 and 1000 over 512 rows
+MLPL_SPLITS = ((512, 512, 476), (512, 488))
+
+# (array rows, fan-in): one segment, an unequal two-way and a three-way split
+CHAIN_SPLITS = ((8, 7), (8, 14), (8, 23), (16, 12), (16, 28), (16, 40))
+
+# (channels, height, width, kernel, stride, parallel_window): odd and even
+# windows per row at strides 1 and 2, and parallel_window over an odd, an
+# even and a single window per row
+DATAFLOW_CASES = (
+    (3, 9, 11, 3, 1, False), (3, 9, 10, 3, 1, False), (3, 11, 11, 3, 2, False), (3, 11, 13, 3, 2, False),
+    (3, 9, 11, 3, 1, True), (3, 9, 10, 3, 1, True), (2, 5, 3, 3, 1, True),
+)
+
+# array rows for the conv GEMM check: every DATAFLOW_CASES fan-in (27, 18)
+# in one segment, in two unequal ones (16+11, 16+2) and in up to three
+# (10+10+7, 10+8)
+CONV_SPLIT_ROWS = (512, 16, 10)
+
+# one float32 block of 514 columns (255 * 128 * 514 <= 2^24), and one column
+# past one and two blocks
+PIXEL_FAN_INS = (514, 515, 1028, 1029)
+
+
+# --------------------------------------------------------------- oracles
+
+
+def window_dots(x: np.ndarray, w: np.ndarray, layer) -> np.ndarray:
+    """int64 reference for a conv on NHWC `x`: each window's values, in the
+    (c, i, j) order of the weight rows `w`, dotted with them; one row per
+    (image, window), row-major per image."""
+    k, s = layer.kernel, layer.stride
+    windows = [
+        x[:, r * s : r * s + k, q * s : q * s + k].transpose(0, 3, 1, 2).reshape(len(x), -1)
+        for r in range(layer.out_h)
+        for q in range(layer.out_w)
+    ]
+    return (np.stack(windows, axis=1) @ w.T).reshape(-1, len(w))
+
+
+def admissible(lengths, x: int, count: int) -> bool:
+    """Whether `count` references at distance `x` fit every segment."""
+    try:
+        for n in lengths:
+            crossbar.ReferenceSet(n, x, count)
+    except ValueError:
+        return False
+    return True
+
+
+def count_cells(lengths, margin: int) -> np.ndarray:
+    """Every per-segment count tuple, each count from -margin to its
+    segment length + margin: one row per cell."""
+    return np.array(list(itertools.product(*(range(-margin, n + margin + 1) for n in lengths))))
+
+
+def counts_near_references(lengths, x: int, count: int, size: int, rng) -> np.ndarray:
+    """`size` random count tuples, each count uniform within 2x of its
+    segment's lowest and highest references."""
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
+    cols = []
+    for n in lengths:
+        levels = refs.for_segment(n).levels()
+        cols.append(rng.integers(levels[0] - 2 * x, levels[-1] + 2 * x + 1, size))
+    return np.stack(cols, axis=1)
+
+
+def scalar_intervals(cells: np.ndarray, lengths, refs) -> np.ndarray:
+    """The scalar `sa_read` interval of every count in the count cells (one
+    row per tuple), each count clipped into 0..its segment length; `sa_read`
+    runs once per level."""
+    cols = []
+    for s, n in enumerate(lengths):
+        table = np.array([crossbar.sa_read(d, refs.for_segment(n)).interval_index for d in range(n + 1)])
+        cols.append(table[np.clip(cells[:, s], 0, n)])
+    return np.stack(cols, axis=1)
+
+
+def cascade_guarantees_hold(lengths, x: int, count: int) -> bool:
+    """Walk every per-segment count cell of one split: F1 never fires on a
+    non-majority, F2 fires on a readout tuple exactly when one of its count
+    cells is a majority (complete, and no complete rule fires less), and F2
+    fires wherever F1 does."""
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
+    cells = count_cells(lengths, 0)
+    intervals = scalar_intervals(cells, lengths, refs)
+    golden = 2 * cells.sum(axis=1) > sum(lengths)
+    f1 = cascade.decide_batch("F1", intervals, lengths, refs)
+    f2 = cascade.decide_batch("F2", intervals, lengths, refs)
+    key = np.ravel_multi_index(intervals.T, (count + 1,) * len(lengths))
+    some_majority = np.zeros((count + 1) ** len(lengths), dtype=bool)
+    np.logical_or.at(some_majority, key, golden)
+    return not (f1 & ~golden).any() and (f2 == some_majority[key]).all() and not (f1 & ~f2).any()
+
+
+def evaluators_agree(lengths, x: int, count: int, cells: np.ndarray) -> bool:
+    """`cascade.decide_counts` on the count cells, as int64 and as float32,
+    against `cascade.decide_batch` on their scalar `sa_read` intervals, for
+    every policy kind."""
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
+    intervals = scalar_intervals(cells, lengths, refs)
+    return all(
+        np.array_equal(
+            cascade.decide_counts(kind, cells.T.astype(dtype), lengths, refs),
+            cascade.decide_batch(kind, intervals, lengths, refs),
+        )
+        for kind in cascade.POLICY_KINDS
+        for dtype in (np.int64, np.float32)
+    )
+
+
+def chain_matches_scalar(rows: int, fan_in: int, kind: str, count: int, x: int, rng) -> bool:
+    """`netio._fc_bits_crossbar` on the segment dots of random bit matrices
+    (48 inputs, 6 neurons) gives uint8 bits equal to `crossbar.layer_forward`
+    per (input row, neuron)."""
+    cfg = crossbar.CrossbarConfig(rows, rows)
+    lengths = crossbar.segment_lengths(fan_in, rows)
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
+    a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
+    w = rng.integers(0, 2, (6, fan_in), dtype=np.uint8)
+    got = netio._fc_bits_crossbar(netio._segment_dots(a, w, lengths), lengths, netio.CrossbarBackend(cfg, refs, kind))
+    policy = cascade.CascadePolicy(kind, refs)
+    groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
+    want = [
+        [crossbar.layer_forward(bincore.BinaryTensor.from_bits(row), g, refs, policy) for g in groups]
+        for row in a
+    ]
+    return got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+def raw_pair_loss(nu: int, kind: str, x: int = 0, count: int = 1) -> tuple[int, int]:
+    """Oracle: (false positives, false negatives) of AND, OR or F1 on two
+    equal halves, over every (A, B) pair walked as integers with numpy,
+    segment counts taken bit by bit, the policy spelled out in place."""
+    seg = nu // 2
+    vals = np.arange(1 << nu, dtype=np.uint32)
+    xnor = ~(vals[:, None] ^ vals[None, :]) & ((1 << nu) - 1)
+    pop = np.array([bin(v).count("1") for v in range(1 << seg)], dtype=np.int32)
+    d1 = pop[xnor & ((1 << seg) - 1)]
+    d2 = pop[xnor >> seg]
+    golden = 2 * (d1 + d2) > nu
+    main = seg // 2
+    if kind == "AND":
+        out = (d1 > main) & (d2 > main)
+    elif kind == "OR":
+        out = (d1 > main) | (d2 > main)
+    elif kind == "F1":
+        L = np.array([main + j * x for j in range(-(count // 2), count // 2 + 1)])
+        t1 = (d1[..., None] > L).sum(axis=-1)
+        t2 = (d2[..., None] > L).sum(axis=-1)
+        lo = lambda t: np.where(t >= 1, L[np.clip(t - 1, 0, count - 1)], 0)
+        out = (t1 >= 1) & (t2 >= 1) & (2 * (lo(t1) + lo(t2)) >= nu)
+    else:
+        raise ValueError(kind)
+    fp = int((out & ~golden).sum())
+    fn = int((~out & golden).sum())
+    return fp, fn
+
+
+def bus_words_match(case, bit_width: int, rng) -> bool:
+    """`dataflow.run_layer` on random bits of one `DATAFLOW_CASES` shape logs
+    the bus words `streamed_words_per_layer` gives, at bus widths 1 (the
+    streamed bits) and 32."""
+    ch, h, w, k, stride, pw = case
+    layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+    x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
+    kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
+    return all(
+        dataflow.run_layer(x, kernels, None, pw, bit_width, bus, stride)[1].words_streamed
+        == dataflow.streamed_words_per_layer(layer, bit_width, bus, pw)
+        for bus in (1, 32)
+    )
+
+
+def _cascade_layouts():
+    """(split, distance, reference count) for every admissible layout of 3
+    and 5 references on every `CASCADE_SPLITS` split."""
+    return [
+        (lengths, x, count)
+        for lengths in CASCADE_SPLITS
+        for count in (3, 5)
+        for x in range(1, min(lengths))
+        if admissible(lengths, x, count)
+    ]
+
+
+# ---------------------------------------------------------------- checks
+
+
+def signed_dots(nu_max: int = NU_MAX) -> bool:
+    """2 * popcount(xnor) - n equals the signed dot on every pair of vectors
+    of every size n up to `nu_max`."""
+    for n in range(1, nu_max + 1):
+        vals = np.arange(1 << n, dtype=np.uint32)
+        bits = ((vals[:, None] >> np.arange(n)) & 1).astype(np.int8)
+        signed = bits * 2 - 1
+        pops = (bits[:, None, :] == bits[None, :, :]).sum(axis=2)
+        if not (2 * pops - n == signed @ signed.T).all():
+            return False
+    return True
+
+
+def worked_example() -> bool:
+    a = bincore.BinaryTensor.from_bits([1, 0, 0, 1])
+    b = bincore.BinaryTensor.from_bits([0, 1, 1, 1])
+    return bincore.xnor_popcount_dot(a, b) == -2
+
+
+def fitting_layers() -> bool:
+    """A fan-in that fits one segment reads the exact majority."""
+    rng = np.random.default_rng(0)
+    cfg = crossbar.CrossbarConfig()
+    for _ in range(400):
+        n = int(rng.integers(2, 513))
+        x = bincore.BinaryTensor.from_bits(rng.integers(0, 2, n, dtype=np.uint8))
+        w = bincore.BinaryTensor.from_bits(rng.integers(0, 2, n, dtype=np.uint8))
+        refs = crossbar.ReferenceSet(n)
+        policy = cascade.CascadePolicy("AND", refs)
+        if crossbar.layer_forward(x, crossbar.map_weights(w, cfg), refs, policy) != bincore.golden_activation(x, w):
+            return False
+    return True
+
+
+def cascade_guarantees() -> bool:
+    return all(cascade_guarantees_hold(*layout) for layout in _cascade_layouts())
+
+
+def evaluators() -> bool:
+    """Every count cell (a margin outside 0..length included) of every
+    cascade split, so every level of every segment length, and mlp-l's
+    splits on random counts around the references."""
+    rng = np.random.default_rng(4)
+    return all(
+        evaluators_agree(lengths, x, count, count_cells(lengths, 2)) for lengths, x, count in _cascade_layouts()
+    ) and all(
+        evaluators_agree(lengths, x, count, counts_near_references(lengths, x, count, 100_000, rng))
+        for lengths in MLPL_SPLITS
+        for count in (3, 5)
+        for x in (8, 16)
+    )
+
+
+def pixel_gemm() -> bool:
+    for fan_in in PIXEL_FAN_INS:
+        a = np.full((2, fan_in), 255, np.uint8)
+        a[1, ::2] = 0
+        w = np.full((3, fan_in), -128, np.int8)
+        w[1] = 127
+        w[2, 0] = 127  # an odd sum, past 2^24 at 1029: one float32 GEMM would round it
+        if not np.array_equal(netio._pixel_matmul(a, w), a.astype(np.int64) @ w.astype(np.int64).T):
+            return False
+    return True
+
+
+def chain() -> bool:
+    """Every split shape k in {1, 2, 3}, unequal tails included, under every
+    policy kind."""
+    rng = np.random.default_rng(1)
+    return all(
+        chain_matches_scalar(rows, fan_in, kind, count, x, rng)
+        for rows, fan_in in CHAIN_SPLITS
+        for kind in cascade.POLICY_KINDS
+        for count in (3, 5)
+        for x in (1, 2)
+        if admissible(crossbar.segment_lengths(fan_in, rows), x, count)
+    )
+
+
+def census() -> bool:
+    """`cascade.enumerate_loss` against `raw_pair_loss` on two equal halves
+    of 4, 6 and 8 bits; F1 where 3 references fit the halves."""
+    for n, (kind, x, count) in itertools.product((4, 6, 8), (("AND", 0, 1), ("OR", 0, 1), ("F1", 1, 3))):
+        if not admissible((n // 2,), x, count):
+            continue
+        report = cascade.enumerate_loss(n, n // 2, cascade.CascadePolicy(kind, crossbar.ReferenceSet(n // 2, x, count)))
+        if (report.false_positives, report.false_negatives) != raw_pair_loss(n, kind, x, count):
+            return False
+    return True
+
+
+def conv_gemm() -> bool:
+    """Per segment on one, two and three segments, for bits and for pixels,
+    and across the pixel float32 bound."""
+    rng = np.random.default_rng(3)
+    ok = True
+    for ch, h, w, k, stride in dict.fromkeys(case[:5] for case in DATAFLOW_CASES):
+        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+        x = rng.integers(0, 2, (2, h, w, ch), dtype=np.uint8)
+        kernels = rng.integers(0, 2, (4, layer.fan_in), dtype=np.uint8)
+        for rows in CONV_SPLIT_ROWS:
+            lengths = crossbar.segment_lengths(layer.fan_in, rows)
+            bounds = np.cumsum((0,) + lengths)
+            for dot, lo, hi in zip(netio._segment_dots(x, kernels, lengths, layer), bounds[:-1], bounds[1:]):
+                part = np.zeros(kernels.shape, np.int64)
+                part[:, lo:hi] = 2 * kernels[:, lo:hi].astype(np.int64) - 1
+                ok &= np.array_equal(dot, window_dots(2 * x.astype(np.int64) - 1, part, layer))
+        pixels = rng.integers(0, 256, (2, h, w, ch), dtype=np.uint8)
+        w8 = rng.integers(-128, 128, (4, layer.fan_in), dtype=np.int8)
+        ok &= np.array_equal(netio._pixel_matmul(pixels, w8, layer), window_dots(pixels.astype(np.int64), w8, layer))
+    for channels, dtype in ((514, np.float32), (515, np.float64)):
+        layer = dataflow.ConvLayer(channels, 2, 3, 4, 1, binarized=False)
+        pixels, w8 = np.full((2, 3, 4, channels), 255, np.uint8), np.full((2, channels), -128, np.int8)
+        got = netio._pixel_matmul(pixels, w8, layer)
+        ok &= got.dtype == dtype and np.array_equal(got, window_dots(pixels.astype(np.int64), w8, layer))
+    return bool(ok)
+
+
+def dataflow_dots() -> bool:
+    """At bus widths 1/32 and bit widths 1/8, which must not change a dot."""
+    rng = np.random.default_rng(2)
+    for ch, h, w, k, stride, pw in DATAFLOW_CASES:
+        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+        x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
+        kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
+        want = netio._signed_matmul(x.transpose(1, 2, 0)[None], kernels.reshape(layer.out_channels, -1), layer)
+        want = want.T.reshape(layer.out_channels, layer.out_h, layer.out_w)
+        for bus, bits in itertools.product((1, 32), (1, 8)):
+            if not np.array_equal(dataflow.run_layer(x, kernels, None, pw, bits, bus, stride)[0], want):
+                return False
+    return True
+
+
+def bus_words() -> bool:
+    rng = np.random.default_rng(2)
+    return all(bus_words_match(case, bits, rng) for case in DATAFLOW_CASES for bits in (1, 8))
+
+
+def _shapes(splits) -> str:
+    return " ".join("+".join(map(str, lengths)) for lengths in splits)
+
+
+CHECKS = (
+    ("xnor/popcount dot == signed dot, exhaustive nu<={nu_max}", signed_dots),
+    ("worked 4-bit example products -2", worked_example),
+    ("fitting layers match the majority rule", fitting_layers),
+    (f"F1 sound / F2 complete over all count cells, splits {_shapes(CASCADE_SPLITS)}", cascade_guarantees),
+    ("decide_counts == decide_batch on sa_read intervals, 3 and 5 references, int64 and float32 counts, "
+     f"every count cell of the cascade splits, 10^5 tuples on {_shapes(MLPL_SPLITS)}", evaluators),
+    (f"blocked pixel GEMM == int64 product, fan-ins {PIXEL_FAN_INS}", pixel_gemm),
+    ("batched crossbar chain == scalar layer_forward, splits "
+     f"{_shapes(crossbar.segment_lengths(n, rows) for rows, n in CHAIN_SPLITS)}", chain),
+    ("pair-count census == raw exhaustive walk, false positives and negatives, AND/OR/F1", census),
+    (f"conv band GEMM == int64 per-window dot, dataflow shapes on {' '.join(f'{r} rows' for r in CONV_SPLIT_ROWS)}, "
+     "1x1 pixel conv at 514/515 channels", conv_gemm),
+    ("conv dataflow == conv band GEMM signed dot, "
+     + " ".join("c{}h{}w{}k{}s{}pw{:d}".format(*case) for case in DATAFLOW_CASES), dataflow_dots),
+    ("logged bus words == closed form, bus widths 1/32, bit widths 1/8", bus_words),
+)
+
+
+def run_verification(nu_max: int = NU_MAX, progress=print) -> list[str]:
+    """Run every check in `CHECKS` in order, printing one [ok] or [FAIL]
+    line each; `nu_max` bounds the vector sizes of the signed-dot check.
+    Returns one line per failed check."""
+    failures = []
+    for name, check in CHECKS:
+        ok = check(nu_max) if check is signed_dots else check()
+        name = name.format(nu_max=nu_max)
+        progress(f"[{'ok' if ok else 'FAIL'}] {name}")
+        if not ok:
+            failures.append(f"{name}: reproduce with xbarbnn.verify.{check.__name__}()")
+    return failures

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from xbarbnn import cascade as cas
-from xbarbnn.cli import (
+from xbarbnn.crossbar import ReferenceSet, sa_read
+from xbarbnn.verify import (
     CASCADE_SPLITS,
     MLPL_SPLITS,
-    _admissible,
-    _count_cells,
-    _counts_near_references,
-    _scalar_intervals,
+    admissible,
+    count_cells,
+    counts_near_references,
+    evaluators_agree,
+    raw_pair_loss,
 )
-from xbarbnn.crossbar import ReferenceSet, sa_read
 
 
 def _readouts(refs, seg1, seg2, d1, d2):
@@ -35,34 +36,6 @@ def _distances(seg, count):
     """Auxiliary-reference distances whose levels fit inside (0, seg)."""
     span = count // 2
     return [x for x in range(1, seg) if 0 < seg // 2 - span * x and seg // 2 + span * x < seg]
-
-
-def raw_pair_loss(nu, kind, x=0, count=1):
-    """Oracle: every (A, B) pair walked as integers with numpy, segment
-    counts taken bit by bit, the policy spelled out in place."""
-    seg = nu // 2
-    vals = np.arange(1 << nu, dtype=np.uint32)
-    xnor = ~(vals[:, None] ^ vals[None, :]) & ((1 << nu) - 1)
-    pop = np.array([bin(v).count("1") for v in range(1 << seg)], dtype=np.int32)
-    d1 = pop[xnor & ((1 << seg) - 1)]
-    d2 = pop[xnor >> seg]
-    golden = 2 * (d1 + d2) > nu
-    main = seg // 2
-    if kind == "AND":
-        out = (d1 > main) & (d2 > main)
-    elif kind == "OR":
-        out = (d1 > main) | (d2 > main)
-    elif kind == "F1":
-        L = np.array([main + j * x for j in range(-(count // 2), count // 2 + 1)])
-        t1 = (d1[..., None] > L).sum(axis=-1)
-        t2 = (d2[..., None] > L).sum(axis=-1)
-        lo = lambda t: np.where(t >= 1, L[np.clip(t - 1, 0, count - 1)], 0)
-        out = (t1 >= 1) & (t2 >= 1) & (2 * (lo(t1) + lo(t2)) >= nu)
-    else:
-        raise ValueError(kind)
-    fp = int((out & ~golden).sum())
-    fn = int((~out & golden).sum())
-    return fp, fn
 
 
 class TestPolicyValidation:
@@ -163,38 +136,29 @@ class TestCascadeRules:
                 assert not (v2 == 0 and golden == 1), (x, d1, d2)
 
 
-def _layouts(lengths, count):
-    return [ReferenceSet(lengths[0], x, count) for x in range(1, min(lengths)) if _admissible(lengths, x, count)]
-
-
-def _assert_evaluators_agree(cells, lengths, refs):
-    intervals = _scalar_intervals(cells, lengths, refs)
-    for kind in cas.POLICY_KINDS:
-        want = cas.decide_batch(kind, intervals, lengths, refs)
-        for dtype in (np.int64, np.float32):
-            got = cas.decide_counts(kind, cells.T.astype(dtype), lengths, refs)
-            assert np.array_equal(got, want), (kind, refs, dtype)
+def _distances_fitting(lengths, count):
+    return [x for x in range(1, min(lengths)) if admissible(lengths, x, count)]
 
 
 class TestEvaluatorsAgree:
     """`decide_counts` (per-level compares on counts) against `decide_batch`
-    (bound tables read at the scalar `sa_read` intervals)."""
+    (bound tables read at the scalar `sa_read` intervals), one case of the
+    `evaluators` check each."""
 
     @pytest.mark.parametrize(
         "lengths, count",
-        [(t, c) for t in CASCADE_SPLITS for c in (3, 5) if _layouts(t, c)],
+        [(t, c) for t in CASCADE_SPLITS for c in (3, 5) if _distances_fitting(t, c)],
         ids=lambda v: "+".join(map(str, v)) if isinstance(v, tuple) else f"refs{v}",
     )
     def test_every_count_cell_of_every_cascade_split(self, lengths, count):
-        cells = _count_cells(lengths, 2)  # counts two past either end of every segment
-        for refs in _layouts(lengths, count):
-            _assert_evaluators_agree(cells, lengths, refs)
+        cells = count_cells(lengths, 2)  # counts two past either end of every segment
+        for x in _distances_fitting(lengths, count):
+            assert evaluators_agree(lengths, x, count, cells), x
 
     @pytest.mark.parametrize("lengths", MLPL_SPLITS, ids=lambda t: str(sum(t)))
     @pytest.mark.parametrize("count, x", [(3, 16), (3, 8), (5, 16), (5, 8)])
     def test_mlpl_splits_on_counts_near_the_references(self, rng, lengths, count, x):
-        cells = _counts_near_references(lengths, x, count, 100_000, rng)
-        _assert_evaluators_agree(cells, lengths, ReferenceSet(lengths[0], x, count))
+        assert evaluators_agree(lengths, x, count, counts_near_references(lengths, x, count, 100_000, rng))
 
 
 class TestPolicyBounds:

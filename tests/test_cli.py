@@ -1,14 +1,20 @@
+import csv
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import xbarbnn
+from xbarbnn.cascade import CascadePolicy, enumerate_loss
 from xbarbnn.cli import _config_hash, main
+from xbarbnn.crossbar import ReferenceSet
+from xbarbnn.netio import WeightContainer, parse_topology
 
 BAD_CONFIGS = [
     # the 520-wide layer splits 512+8; distance 16 does not fit 8 bits
@@ -87,3 +93,89 @@ def test_python_dash_m_runs_verify():
                           timeout=300)
     assert done.returncode == 0, done.stderr
     assert "[FAIL]" not in done.stdout and "[ok]" in done.stdout
+
+
+def _weights_file(tmp_path, count: int, *layers: bytes) -> str:
+    """A weights file: header for `count` layers, the `layers` bytes, and a
+    valid CRC32 trailer."""
+    body = b"XBW1" + struct.pack("<HH", 1, count) + b"".join(layers)
+    path = tmp_path / "weights.xbw"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return str(path)
+
+
+def _layer(binary: int, dims, payload: bytes) -> bytes:
+    return struct.pack(f"<BB{len(dims)}II", binary, len(dims), *dims, len(payload)) + payload
+
+
+@pytest.mark.parametrize(
+    "count, layers, reason",
+    [
+        (1, [], "layer 0: header truncated"),
+        (1, [struct.pack("<BBI", 1, 2, 40)], "layer 0: dims truncated"),
+        (1, [_layer(1, (4, 10), bytes(4))], "layer 0: 4-byte payload for dims (4, 10), expected 5 bytes"),
+        (1, [_layer(0, (2, 3), bytes(7))], "layer 0: 7-byte payload for dims (2, 3), expected 6 bytes"),
+        (1, [_layer(0, (2, 3), bytes(6)), b"\0"], "1 trailing bytes after the last layer"),
+    ],
+    ids=["no-layer-header", "truncated-dims", "short-bits", "long-int8", "trailing-bytes"],
+)
+def test_malformed_weights_file_is_one_line_and_exit_2(tmp_path, capsys, count, layers, reason):
+    path = _weights_file(tmp_path, count, *layers)
+    assert main(["infer", "--network", "mlp-s", "--weights", path, "--synthetic", "4", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and reason in err
+
+
+def test_saved_weights_load_back_and_infer_as_the_random_ones(tmp_path, capsys):
+    topology = "FC(784) - FC(13) - FC(7) - FC(10)"  # 7 x 13 = 91 bits: a padded last byte
+    weights = WeightContainer.random(parse_topology(topology), 1)
+    path = tmp_path / "weights.xbw"
+    weights.save(path)
+    loaded = WeightContainer.load(path)
+    assert [(a.dtype, a.tolist()) for a in loaded.arrays] == [(a.dtype, a.tolist()) for a in weights.arrays]
+    argv = ["infer", "--topology", topology, "--refs", "1", "--synthetic", "4", "--seed", "1"]
+    assert main(argv) == 0
+    random_run = capsys.readouterr().out
+    assert main(argv + ["--weights", str(path)]) == 0
+    assert capsys.readouterr().out == random_run
+
+
+def _idx_pair(tmp_path, h: int, w: int, n: int = 4) -> list[str]:
+    images, labels = tmp_path / f"images-{h}x{w}.idx", tmp_path / "labels.idx"
+    pixels = np.random.default_rng(0).integers(0, 256, n * h * w, dtype=np.uint8)
+    images.write_bytes(struct.pack(">4I", 0x803, n, h, w) + pixels.tobytes())
+    labels.write_bytes(struct.pack(">2I", 0x801, n) + bytes(range(n)))
+    return ["--images", str(images), "--labels", str(labels)]
+
+
+@pytest.mark.parametrize("network", ["lenet-5", "mlp-s"])
+def test_infer_reads_idx_images_of_the_input_size_only(tmp_path, capsys, network):
+    argv = ["infer", "--network", network, "--seed", "1"]
+    assert main(argv + _idx_pair(tmp_path, 28, 28)) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == 4
+    assert main(argv + _idx_pair(tmp_path, 30, 28)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "images are 30x28x1" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "distance", "refcount", "functions"])
+def test_loss_sweep_is_deterministic_and_attributed(tmp_path, mode):
+    argv = ["loss-sweep", "--mode", mode, "--nu", "32", "--samples", "2000", "--seed", "3"]
+    runs = []
+    for name in ("first.csv", "second.csv"):
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        runs.append((tmp_path / name).read_bytes())
+    assert runs[0] == runs[1]
+    lines = runs[0].decode().splitlines()
+    header = dict(line[2:].split("=") for line in lines if line.startswith("# "))
+    assert list(header) == ["config_sha256", "seed", "xbarbnn_version", "numpy_version"]
+    assert len(header["config_sha256"]) == 16 and header["seed"] == "3"
+    assert (header["xbarbnn_version"], header["numpy_version"]) == (xbarbnn.__version__, np.__version__)
+    rows = list(csv.DictReader(lines[len(header):]))
+    assert rows
+    if mode == "exact":
+        for row in rows:
+            nu = int(row["nu"])
+            report = enumerate_loss(nu, nu // 2, CascadePolicy(row["policy"], ReferenceSet(nu // 2)))
+            assert (int(row["mismatch_fp"]), int(row["mismatch_fn"])) == (report.false_positives, report.false_negatives)
+            assert row["loss_fraction"] == f"{report.loss_fraction:.6g}"

@@ -6,7 +6,6 @@ import pytest
 from conftest import random_bits
 from xbarbnn.bincore import BinaryTensor, golden_activation, popcount, xnor
 from xbarbnn.cascade import POLICY_KINDS, CascadePolicy, decide_batch, decide_counts
-from xbarbnn.cli import _scalar_intervals
 from xbarbnn.crossbar import (
     CrossbarConfig,
     ReferenceSet,
@@ -16,6 +15,7 @@ from xbarbnn.crossbar import (
     sa_read,
     split_inputs,
 )
+from xbarbnn.verify import scalar_intervals
 
 
 class TestCrossbarConfig:
@@ -96,7 +96,7 @@ class TestSaRead:
 
 def _sa_intervals(counts, refs) -> np.ndarray:
     """Scalar `sa_read` interval of every count clipped into 0..length, flattened."""
-    return _scalar_intervals(np.ravel(counts)[:, None], (refs.segment_length,), refs)[:, 0]
+    return scalar_intervals(np.ravel(counts)[:, None], (refs.segment_length,), refs)[:, 0]
 
 
 class TestSaReadBatch:

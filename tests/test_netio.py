@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from xbarbnn.bincore import BinaryTensor
-from xbarbnn.cascade import POLICY_KINDS, CascadePolicy
-from xbarbnn.crossbar import CrossbarConfig, ReferenceSet, layer_forward, map_weights, segment_lengths
+from xbarbnn.cascade import POLICY_KINDS
+from xbarbnn.crossbar import CrossbarConfig, ReferenceSet, segment_lengths
 from xbarbnn import netio
 from xbarbnn.netio import (
     ConvLayer,
@@ -12,13 +11,13 @@ from xbarbnn.netio import (
     NetworkSpec,
     PoolLayer,
     WeightContainer,
-    _fc_bits_crossbar,
     _pixel_matmul,
     _pool_or,
     named_network,
     parse_topology,
     run_inference,
 )
+from xbarbnn.verify import chain_matches_scalar, window_dots
 
 
 @pytest.mark.parametrize(
@@ -38,18 +37,7 @@ def test_segment_lengths_rejects_empty_vector():
 @pytest.mark.parametrize("kind", POLICY_KINDS)
 @pytest.mark.parametrize("count, x", [(3, 2), (5, 1)])
 def test_batched_chain_equals_per_neuron_layer_forward(rng, fan_in, kind, count, x):
-    cfg = CrossbarConfig(16, 16)
-    refs = ReferenceSet(16, x, count)
-    a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
-    w = rng.integers(0, 2, (6, fan_in), dtype=np.uint8)
-    lengths = segment_lengths(fan_in, cfg.rows)
-    got = _fc_bits_crossbar(netio._segment_dots(a, w, lengths), lengths, CrossbarBackend(cfg, refs, kind))
-
-    policy = CascadePolicy(kind, refs)
-    groups = [map_weights(BinaryTensor.from_bits(row), cfg) for row in w]
-    want = [[layer_forward(BinaryTensor.from_bits(row), g, refs, policy) for g in groups] for row in a]
-    assert got.dtype == np.uint8
-    assert got.tolist() == want
+    assert chain_matches_scalar(16, fan_in, kind, count, x, rng)
 
 
 def reshape_max_pool(x: np.ndarray, size: int) -> np.ndarray:
@@ -89,19 +77,6 @@ def test_pixel_gemm_dtype_switches_at_the_bound(fan_in, dtype):
 def test_pixel_gemm_of_other_image_dtypes_is_float64():
     got = _pixel_matmul(np.full((1, 4), 255, np.int64), np.full((1, 4), 127, np.int8))
     assert got.dtype == np.float64
-
-
-def window_dots(x, w, layer):
-    """int64 reference for a conv on NHWC `x`: each window's values, in the
-    (c, i, j) order of the weight rows `w`, dotted with them; one row per
-    (image, window), row-major per image."""
-    k, s = layer.kernel, layer.stride
-    windows = [
-        x[:, r * s : r * s + k, q * s : q * s + k].transpose(0, 3, 1, 2).reshape(len(x), -1)
-        for r in range(layer.out_h)
-        for q in range(layer.out_w)
-    ]
-    return (np.stack(windows, axis=1) @ w.T).reshape(-1, len(w))
 
 
 # (channels, height, width, kernel, stride): H != W; a 1x1 kernel; kernels
