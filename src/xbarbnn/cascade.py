@@ -36,6 +36,7 @@ elsewhere the midpoint rule misses true majorities and is not used.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -158,26 +159,77 @@ def decide_batch(kind: str, intervals: np.ndarray, lengths, refs: ReferenceSet) 
     return total >= threshold
 
 
-def decide_counts(kind: str, counts, lengths, refs: ReferenceSet) -> np.ndarray:
-    """Cascade decision from per-segment column counts (one array per
-    segment, all of one shape, of any integer or float dtype holding
-    integers): the batched path of inference, the census and Monte-Carlo.
+def decide_counts(kind: str, counts, lengths, refs: ReferenceSet, empty=np.empty) -> np.ndarray:
+    """Cascade decision from per-segment column counts: the batched path of
+    inference, the census and Monte-Carlo.
 
-    Each segment's bound is its bottom-interval value plus the rise at every
-    reference level its count exceeds, as a multi-reference SA senses it,
-    one compare per (segment, level); the bounds are summed in the
-    `policy_bounds` dtype. Counts outside 0..length land in the bottom or top
-    interval, as counting the references below them does. Returns the
-    activation bits, in the shape of the counts.
+    counts: one array per segment, all of one shape, of any integer or float
+    dtype holding integers; any iterable, drawn in order, and each is read
+    before the next is drawn, so they may share one buffer.
+    empty: `np.empty`-like maker of the uninitialised accumulators; they
+    live only during the call.
+
+    As a multi-reference SA senses it, each segment's interval index counts
+    the reference levels its count exceeds, one compare per (segment, level)
+    at which the `policy_bounds` table rises; counts outside 0..length land
+    in the bottom or top interval. Consecutive segments whose interval
+    tuples number at most 256 form a group with one uint8 code per element
+    (a wider code only for a segment of more than 255 levels), and each
+    group is looked up once in the table of its bound sums. Returns
+    the activation bits, in the shape of the counts.
     """
     tables, threshold = policy_bounds(kind, lengths, refs)
-    dtype = tables[0][1].dtype
-    total = np.full(np.shape(counts[0]), sum(int(bounds[0]) for _, bounds in tables) - threshold, dtype)
-    for count, (levels, bounds) in zip(counts, tables):
-        for level, rise in zip(levels, np.diff(bounds)):
-            if rise:
-                total += np.greater(count, level) * rise
-    return total >= 0
+    segments = []  # per segment: the levels where its bound rises, its bound below and above each
+    for levels, bounds in tables:
+        rises = np.flatnonzero(np.diff(bounds))
+        segments.append(([levels[i] for i in rises], bounds[np.r_[0, rises + 1]]))
+    groups = []
+    for seg in segments:
+        if not groups or math.prod(len(b) for _, b in groups[-1]) * len(seg[1]) > 256:
+            groups.append([])
+        groups[-1].append(seg)
+    sizes = [math.prod(len(bounds) for _, bounds in group) for group in groups]
+    code_dtype = np.min_scalar_type(max(sizes) - 1)  # uint8 unless one segment has over 255 levels
+    counts = iter(counts)
+    code = above = index = total = None
+    for group in groups:
+        for s, (levels, bounds) in enumerate(group):
+            count = next(counts)
+            if code is None:
+                code, above = empty(np.shape(count), code_dtype), empty(np.shape(count), np.bool_)
+            if s == 0:
+                code[...] = 0
+            else:
+                code *= len(bounds)
+            for level in levels:
+                np.greater(count, level, out=above)
+                code += above.view(np.uint8)
+        sums = functools.reduce(np.add.outer, [bounds for _, bounds in group]).ravel()
+        if index is None:
+            index = empty((min(code.size, _LOOKUP_BLOCK),), np.intp)
+        if len(groups) == 1:
+            return _lookup(sums >= threshold, code, np.empty(code.shape, np.bool_), index)
+        if total is None:
+            total, part = empty(code.shape, sums.dtype), empty(code.shape, sums.dtype)
+            _lookup(sums, code, total, index)
+        else:
+            total += _lookup(sums, code, part, index)
+    return total >= threshold
+
+
+# elements per table lookup: the intp index scratch stays small
+_LOOKUP_BLOCK = 1 << 14
+
+
+def _lookup(table: np.ndarray, code: np.ndarray, out: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """`out` = `table[code]`, taken in blocks through the intp scratch
+    `index`, so that no full-size index array is made."""
+    flat_code, flat_out = code.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_code.size, len(index)):
+        idx = index[: min(len(index), flat_code.size - lo)]
+        np.copyto(idx, flat_code[lo : lo + len(idx)])
+        np.take(table, idx, out=flat_out[lo : lo + len(idx)], mode="clip")
+    return out
 
 
 def cascade(policy: CascadePolicy, readouts: list[SAReadout], segment_lengths: list[int]) -> int:

@@ -27,9 +27,12 @@ weight layer whose fan-in is inferred from the previous layer.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import math
 import re
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -381,102 +384,205 @@ class InferenceReport:
 # float32 represents every integer of magnitude up to 2^24 exactly.
 _FLOAT32_EXACT = 1 << 24
 
-
-def _band(x: np.ndarray, layer: ConvLayer, dtype) -> np.ndarray:
-    """(B, H, W, C) activations -> the (B * oh, k * W * C) band of a conv:
-    row (b, r) holds the k input rows that the windows of output row r read,
-    at the layer's stride. Built as `dtype` with k row-slice copies."""
-    k, s, oh = layer.kernel, layer.stride, layer.out_h
-    band = np.empty((len(x), oh, k) + x.shape[2:], dtype)
-    for i in range(k):
-        band[:, :, i] = x[:, i : i + s * (oh - 1) + 1 : s]
-    return band.reshape(len(x) * oh, -1)
+# The longest span of a packed +-1 GEMM: its lane base B is 4096 and every
+# partial sum is at most m(1 + B) / 2 = 4095 * 4097 / 2 < 2^24.
+_LANE_SPAN = 4095
 
 
-def _toeplitz(layer: ConvLayer, w: np.ndarray) -> np.ndarray:
-    """(O, C*k*k) kernel rows, (c, i, j) order -> the (k * W * C, ow * O)
-    block-Toeplitz matrix of a conv: column block q holds every kernel at the
-    band columns of window q (input columns q*s .. q*s + k - 1), with exact
-    zeros elsewhere. The band times it is (B * oh, ow * O), which reshapes at
-    no cost to one row per window and one column per output channel."""
-    k, s, c, o = layer.kernel, layer.stride, layer.in_channels, layer.out_channels
-    t = np.zeros((k, layer.input_w, c, layer.out_w, o), w.dtype)
+class _Workspace:
+    """One thread's scratch buffer: every large float temporary of a layer
+    is a view carved from it inside a frame, and a frame returns what was
+    carved inside it on exit, so the carving is a stack. The buffer never
+    shrinks. A carve past its end is a fresh array, and the next outermost
+    frame regrows the buffer to the largest live set carved so far, so that
+    after one call of a shape every later one carves from memory already
+    mapped."""
+
+    def __init__(self):
+        self._buf = np.empty(0, np.uint8)
+        self._top = 0
+        self._depth = 0
+        self._need = 0  # bytes of the largest live set carved so far
+
+    @contextlib.contextmanager
+    def frame(self):
+        if self._depth == 0 and self._need > self._buf.size:
+            self._buf = None  # free the old buffer before mapping the new one
+            self._buf = np.empty(self._need, np.uint8)
+        top = self._top
+        self._depth += 1
+        try:
+            yield self
+        finally:
+            self._depth -= 1
+            self._top = top
+
+    def take(self, shape, dtype=np.float32) -> np.ndarray:
+        """An uninitialised array of `shape` and `dtype`, valid until the
+        innermost open frame exits."""
+        if not self._depth:
+            raise RuntimeError("workspace carve outside a frame")
+        dtype = np.dtype(dtype)
+        start = -(-self._top // 64) * 64
+        self._top = start + math.prod(shape) * dtype.itemsize
+        self._need = max(self._need, self._top)
+        if self._top > self._buf.size:
+            return np.empty(shape, dtype)
+        return self._buf[start : self._top].view(dtype).reshape(shape)
+
+
+_local = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """The calling thread's workspace, made on first use."""
+    if not hasattr(_local, "workspace"):
+        _local.workspace = _Workspace()
+    return _local.workspace
+
+
+def _input_rows(x: np.ndarray, layer) -> int:
+    """Rows of a weight layer's products: one per image, or per (image,
+    window) of a conv."""
+    return len(x) * (layer.out_h * layer.out_w if isinstance(layer, ConvLayer) else 1)
+
+
+def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(O, C*k*k) kernel rows, (c, i, j) order -> `out`, the (k * W * C,
+    ow * O) block-Toeplitz matrix of a conv: column block q holds every
+    kernel at the input columns of window q (q*s .. q*s + k - 1) of the k
+    input rows an output row reads, with exact zeros elsewhere."""
+    k, s, c, o = layer.kernel, layer.stride, layer.in_channels, len(w)
+    t = out.reshape(k, layer.input_w, c, layer.out_w, o)
+    t[...] = 0
     kernels = w.reshape(o, c, k, k).transpose(2, 3, 1, 0)  # (i, j, c, o)
     for q in range(layer.out_w):
         t[:, q * s : q * s + k, :, q] = kernels
-    return t.reshape(-1, layer.out_w * o)
+    return out
 
 
-def _layer_dots(x, w, lengths, dtype, layer, signed):
-    """Products of the activations `x` entering a weight layer with its
-    weight rows `w` (O, fan-in), as `dtype`, one (input rows, O) array per
-    segment of `lengths`, which partition the fan-in in order; yielded one
-    at a time. `signed` reads both operands' bits b as 2b - 1.
+def _spans(x, w, spans, layer, shift, dtype, ws):
+    """Generator of one GEMM per fan-in span of `spans` (lo, hi): the
+    activations `x` entering a weight layer, cast to x - `shift` as `dtype`,
+    times the weight rows `w(lo, hi)` returns (O', fan-in columns lo:hi), as
+    an (input rows, O') workspace view that the next span overwrites.
 
     An FC layer flattens `x` per image, in the (c, h, w) order of its weight
-    columns, and slices both operands per segment. A conv (`layer` a
-    ConvLayer, `x` NHWC) multiplies its band by one block-Toeplitz matrix per
-    segment, zero outside the segment; its input rows are the (image, window)
-    rows, row-major per image. The zeros add exact zeros, so every partial
-    sum of a segment is a sum of at most its length of nonzero products, as
-    in the FC product."""
-    if isinstance(layer, ConvLayer):
-        a = _band(x, layer, dtype)
+    columns, and casts one span at a time. A conv (`layer` a ConvLayer, `x`
+    NHWC) casts `x` once; for each output row it multiplies the k input rows
+    that row reads (a strided view, nothing copied) by the block-Toeplitz
+    matrix of the span's kernel columns, zero elsewhere. Its input rows are
+    the (image, window) rows, row-major per image. The zeros add exact
+    zeros, so every partial sum of a span is a sum of at most its length of
+    nonzero products, as in the FC product."""
+    conv = isinstance(layer, ConvLayer)
+    rows = _input_rows(x, layer)
+    if conv:
+        xf = ws.take(x.shape, dtype)
+        np.subtract(x, shift, out=xf, dtype=dtype)
+        k, s, oh = layer.kernel, layer.stride, layer.out_h
     else:
         if x.ndim == 4:  # NHWC conv activations
             x = x.transpose(0, 3, 1, 2)
-        a = x.reshape(len(x), -1).astype(dtype)
-    w = w.astype(dtype)
-    if signed:
-        for m in (a, w):  # in place: no float temporaries
-            m *= 2
-            m -= 1
-    bounds = np.cumsum((0,) + tuple(lengths))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if isinstance(layer, ConvLayer):
-            part = np.zeros_like(w)
-            part[:, lo:hi] = w[:, lo:hi]
-            yield (a @ _toeplitz(layer, part)).reshape(-1, layer.out_channels)
+        x = x.reshape(len(x), -1)
+        xf_flat = ws.take((rows * max(hi - lo for lo, hi in spans),), dtype)
+    out = None
+    for lo, hi in spans:
+        wf = w(lo, hi)
+        if out is None:
+            out = ws.take((rows, len(wf)), dtype)
+            if conv:
+                part = ws.take((len(wf), layer.fan_in), dtype)
+                t = ws.take((k * layer.input_w * layer.in_channels, layer.out_w * len(wf)), dtype)
+                by_row = out.reshape(len(x), oh, -1)
+        if conv:
+            part[:] = 0
+            part[:, lo:hi] = wf
+            _toeplitz(layer, part, t)
+            for r in range(oh):
+                np.matmul(xf[:, r * s : r * s + k].reshape(len(x), -1), t, out=by_row[:, r])
         else:
-            yield a[:, lo:hi] @ w[:, lo:hi].T
+            xf = xf_flat[: rows * (hi - lo)].reshape(rows, hi - lo)
+            np.subtract(x[:, lo:hi], shift, out=xf, dtype=dtype)
+            np.matmul(xf, wf.T, out=out)
+        yield out
 
 
-def _pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
-    """Exact integer dot products of the pixels `x` entering a weight layer
-    with its int8 weight rows `w`, as floats, one row per input row (per
-    image, or per (image, window) of a conv on NHWC pixels).
-
-    A uint8 pixel times an int8 weight is at most 255 * 128 in magnitude
-    (128, not 127, because `WeightContainer.load` accepts -128). Over a block
-    of at most 2^24 // (255 * 128) = 514 fan-in columns every partial sum of
-    a dot product is then an integer of magnitude at most 2^24, which float32
-    adds without rounding in any summation order: each block is one exact
-    float32 GEMM (the conv's Toeplitz zeros add nothing). The blocks are
-    added in float64, exact below 2^53; a fan-in of one block (the first
-    convs of lenet-5, cnn-1 and cnn-2) stays float32. Other image dtypes have
-    no such bound and run in float64.
-    """
-    if x.dtype != np.uint8:
-        return next(_layer_dots(x, w, (w.shape[1],), np.float64, layer, False))
-    blocks = segment_lengths(w.shape[1], _FLOAT32_EXACT // (255 * 128))
-    dots = _layer_dots(x, w, blocks, np.float32, layer, False)
-    if len(blocks) == 1:
-        return next(dots)
-    out = next(dots).astype(np.float64)
-    for dot in dots:
-        out += dot
+def _blocks(lengths, width: int) -> list:
+    """The (lo, hi) fan-in spans of each segment of `lengths` (which
+    partition the fan-in in order), cut into spans of at most `width`."""
+    bounds = np.cumsum((0,) + tuple(lengths))
+    out = []
+    for lo, n in zip(bounds[:-1], lengths):
+        cuts = np.cumsum((lo,) + segment_lengths(n, width))
+        out.append(list(zip(cuts[:-1].tolist(), cuts[1:].tolist())))
     return out
+
+
+def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], layer=None):
+    """Generator of the XNOR popcounts of the bits `x` entering a weight
+    layer against its weight bit rows `w_bits` (O, fan-in), one float32
+    (input rows, O) array per fan-in segment of `lengths`, in order. Each is
+    a workspace view that the next segment overwrites: read it before
+    drawing the next.
+
+    Two weight rows share one float32 lane: row j and row h + j (h =
+    ceil(O/2)) pack as (2b_j - 1) + B (2b_{h+j} - 1), with B the smallest
+    power of two above the span length m, and the activations cast to
+    b - 1/2. The GEMM then gives r = (d_j + B d_{h+j}) / 2 for the signed
+    dots d, and q = r + m(1 + B)/2 = c_j + B c_{h+j} for the popcounts
+    c = (m + d)/2 < B: c_{h+j} = floor(q / B), c_j = q - B c_{h+j}. Every
+    partial sum is at most m(1 + B)/2 < 2^23 for m <= 4095, so the GEMM is
+    exact in any summation order; a longer segment is summed from spans of
+    at most 4095. An odd row count leaves row h - 1 alone in its lane. The
+    counts are exact while the fan-in is below 2^24."""
+    o = len(w_bits)
+    h, p = (o + 1) // 2, o // 2  # lanes; lanes that hold two rows
+    ws = _workspace()
+    blocks = _blocks(lengths, _LANE_SPAN)
+    packed = ws.take((h * max(hi - lo for spans in blocks for lo, hi in spans),))
+    offset = ws.take((h,))
+    counts = ws.take((_input_rows(x, layer), o))
+    extra = ws.take(counts.shape) if max(map(len, blocks)) > 1 else None
+
+    def lanes(lo, hi):
+        base = 1 << (hi - lo).bit_length()
+        wp = packed[: h * (hi - lo)].reshape(h, hi - lo)
+        np.multiply(w_bits[h:, lo:hi], base, out=wp[:p], dtype=np.float32)
+        np.add(wp[:p], w_bits[:p, lo:hi], out=wp[:p], dtype=np.float32)
+        np.copyto(wp[p:], w_bits[p:h, lo:hi])
+        wp *= 2
+        wp[:p] -= 1 + base
+        wp[p:] -= 1
+        offset[:p] = (hi - lo) * (1 + base) / 2
+        offset[p:] = (hi - lo) / 2
+        return wp
+
+    gemms = _spans(x, lanes, [s for spans in blocks for s in spans], layer, 0.5, np.float32, ws)
+    for spans in blocks:
+        for i, (lo, hi) in enumerate(spans):
+            q = next(gemms)
+            q += offset
+            dst = counts if i == 0 else extra
+            base = 1 << (hi - lo).bit_length()
+            high, low = dst[:, h:], dst[:, :p]
+            np.multiply(q[:, :p], 1 / base, out=high)
+            np.floor(high, out=high)
+            np.multiply(high, -base, out=low)
+            low += q[:, :p]
+            dst[:, p:h] = q[:, p:]
+            if i:
+                counts += extra
+        yield counts
 
 
 def _segment_dots(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], layer=None) -> list[np.ndarray]:
     """Exact signed dot products of the bits `x` entering a weight layer
-    with its weight rows `w_bits` (bits b as 2b - 1), one (input rows, O)
-    array per fan-in segment of `lengths` (see `_layer_dots`). Both operands
-    become +-1 once. Partial sums are integers of magnitude at most the
-    fan-in, so float32 is exact, and so is the sum of the segments, up to a
-    fan-in of 2^24; float64 beyond."""
-    dtype = np.float32 if w_bits.shape[1] <= _FLOAT32_EXACT else np.float64
-    return list(_layer_dots(x, w_bits, lengths, dtype, layer, True))
+    with its weight rows `w_bits` (bits b as 2b - 1), one float32 (input
+    rows, O) array per fan-in segment of `lengths`: 2c - m from the
+    popcounts c of `_segment_counts`."""
+    with _workspace().frame():
+        return [2 * c - m for c, m in zip(_segment_counts(x, w_bits, lengths, layer), lengths)]
 
 
 def _signed_matmul(x: np.ndarray, w_bits: np.ndarray, layer=None) -> np.ndarray:
@@ -485,26 +591,81 @@ def _signed_matmul(x: np.ndarray, w_bits: np.ndarray, layer=None) -> np.ndarray:
     return dot.astype(np.int64)
 
 
-def _fc_bits_golden(dot: np.ndarray, tie_high: bool) -> np.ndarray:
-    """Exact sign activation of a binary layer from its signed dots."""
-    return (dot >= 0 if tie_high else dot > 0).astype(np.uint8)
+def _pixel_dots(x: np.ndarray, w: np.ndarray, layer=None) -> tuple[np.ndarray, np.ndarray]:
+    """Products of the pixels `x` entering a weight layer with its int8
+    weight rows `w`, one row per input row (per image, or per (image,
+    window) of a conv on NHWC pixels), as a workspace view `dots` and a
+    per-column `threshold` with dot product = dots - threshold; the layer
+    fires where dots >= threshold.
 
-
-def _fc_bits_crossbar(dots: list, lengths: tuple[int, ...], backend: CrossbarBackend) -> np.ndarray:
-    """Activation bits of a binary layer through the crossbar model, in the
-    shape of its dots, from the signed float dots of each segment of its
-    fan-in split `lengths` on the backend's arrays. Each dot becomes its
-    segment's XNOR popcount (m + dot) / 2 in place, so the dots are consumed;
-    m + dot is even, so the halving is exact. One segment is sensed against
-    its main reference; several pass through `cascade.decide_counts`."""
-    for dot, m in zip(dots, lengths):
-        dot += m
-        dot *= 0.5
-    if len(lengths) == 1:
-        bits = dots[0] > backend.refs.for_segment(lengths[0]).main
+    uint8 pixels are centred: dots = sum (x - 128) w and threshold =
+    -128 sum w. Each product is then at most 128 * 128 = 2^14 in magnitude,
+    so over a block of 1024 fan-in columns every partial sum is an integer
+    of magnitude at most 2^24, which float32 adds without rounding in any
+    summation order: a fan-in of at most 1024 (every named network's) is
+    one exact float32 GEMM; wider ones add their blocks in float64, exact
+    below 2^53. Other image dtypes have no such bound: one float64 GEMM,
+    threshold 0.
+    """
+    ws = _workspace()
+    if x.dtype == np.uint8:
+        dtype, shift, threshold = np.float32, 128.0, -128 * w.sum(axis=1, dtype=np.int64)
+        spans = _blocks((w.shape[1],), max(1, _FLOAT32_EXACT // (128 * 128)))[0]
     else:
-        bits = _cascade.decide_counts(backend.policy_kind, dots, lengths, backend.refs)
-    return bits.astype(np.uint8)
+        dtype, shift, threshold = np.float64, 0.0, np.zeros(len(w))
+        spans = [(0, w.shape[1])]
+    weights = ws.take(w.shape, dtype)
+    np.copyto(weights, w)
+    gemms = _spans(x, lambda lo, hi: weights[:, lo:hi], spans, layer, shift, dtype, ws)
+    if len(spans) == 1:
+        return next(gemms), threshold.astype(dtype)
+    dots = ws.take((_input_rows(x, layer), len(w)), np.float64)
+    dots[...] = next(gemms)
+    for part in gemms:
+        dots += part
+    return dots, threshold
+
+
+def _pixel_bits(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
+    """Activation bits of the non-binarized layer, uint8 (input rows, O):
+    1 where the exact dot product is at least 0."""
+    with _workspace().frame():
+        dots, threshold = _pixel_dots(x, w, layer)
+        return np.greater_equal(dots, threshold).view(np.uint8)
+
+
+def _pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
+    """Exact integer dot products of pixels with int8 weight rows, as an
+    ordinary array: float32 while every sum of up to the fan-in products is
+    exact in it (a uint8 pixel times an int8 weight is at most 255 * 128 in
+    magnitude, so fan-ins up to 514), float64 beyond and for other image
+    dtypes."""
+    with _workspace().frame():
+        dots, threshold = _pixel_dots(x, w, layer)
+        exact32 = x.dtype == np.uint8 and 255 * 128 * w.shape[1] <= _FLOAT32_EXACT
+        return np.subtract(dots, threshold, dtype=np.float32 if exact32 else np.float64)
+
+
+def _fc_bits_golden(counts: np.ndarray, fan_in: int, tie_high: bool) -> np.ndarray:
+    """Exact sign activation of a binary layer from its XNOR popcounts over
+    the whole fan-in: 1 where they are a majority (at least half with
+    `tie_high`)."""
+    return (counts >= fan_in / 2 if tie_high else counts > fan_in / 2).view(np.uint8)
+
+
+def _fc_bits_crossbar(counts, lengths: tuple[int, ...], backend: CrossbarBackend) -> np.ndarray:
+    """Activation bits of a binary layer through the crossbar model, in the
+    shape of its counts, from the XNOR popcounts of each segment of its
+    fan-in split `lengths` on the backend's arrays (an iterable, drawn in
+    order; see `_segment_counts`). One segment is sensed against its main
+    reference; several pass through `cascade.decide_counts`, whose
+    accumulators are carved from the workspace."""
+    with _workspace().frame() as ws:
+        if len(lengths) == 1:
+            bits = next(iter(counts)) > backend.refs.for_segment(lengths[0]).main
+        else:
+            bits = _cascade.decide_counts(backend.policy_kind, counts, lengths, backend.refs, ws.take)
+    return bits.view(np.uint8)
 
 
 def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
@@ -536,23 +697,29 @@ def _each(f, golden, crossbar):
 
 def _binarized(layer, w, golden, crossbar, backend, tie_high):
     """Both chains' activations of a binarized layer that is not the last.
-    The crossbar's per-segment dots are computed once: while the chains
-    share their input, the golden bit is the sign of their sum, taken before
-    `_fc_bits_crossbar` turns the dots into counts in place; otherwise
-    the golden one-segment dot is computed and freed before them, so peak
-    memory holds one chain's dots at a time."""
-    batch = len(golden)
-    if crossbar is golden:
-        lengths = segment_lengths(layer.fan_in, backend.config.rows)
-        dots = _segment_dots(golden, w, lengths, layer)
-        golden_bits = _fc_bits_golden(sum(dots), tie_high)
-    else:
-        golden_bits = _fc_bits_golden(_segment_dots(golden, w, (layer.fan_in,), layer)[0], tie_high)
-        if crossbar is None:
-            return _activation(layer, golden_bits, batch), None
-        lengths = segment_lengths(layer.fan_in, backend.config.rows)
-        dots = _segment_dots(crossbar, w, lengths, layer)
-    crossbar_bits = _fc_bits_crossbar(dots, lengths, backend)
+    While the chains share their input, each segment's popcounts are
+    computed once: the crossbar chain senses them, and their sum over the
+    segments gives the golden bits. Otherwise the golden chain's popcounts
+    over the whole fan-in are computed and thresholded before the crossbar
+    chain's segments, so the workspace holds one chain's counts at a time."""
+    batch, n = len(golden), layer.fan_in
+    lengths = segment_lengths(n, backend.config.rows) if crossbar is not None else (n,)
+    with _workspace().frame() as ws:
+        if crossbar is golden:
+            total = ws.take((_input_rows(golden, layer), len(w)))
+
+            def summed(counts):  # each segment's counts, added into the golden total as they pass
+                for i, c in enumerate(counts):
+                    np.copyto(total, c) if i == 0 else np.add(total, c, out=total)
+                    yield c
+
+            crossbar_bits = _fc_bits_crossbar(summed(_segment_counts(golden, w, lengths, layer)), lengths, backend)
+            golden_bits = _fc_bits_golden(total, n, tie_high)
+        else:
+            golden_bits = _fc_bits_golden(next(_segment_counts(golden, w, (n,), layer)), n, tie_high)
+            if crossbar is None:
+                return _activation(layer, golden_bits, batch), None
+            crossbar_bits = _fc_bits_crossbar(_segment_counts(crossbar, w, lengths, layer), lengths, backend)
     return _activation(layer, golden_bits, batch), _activation(layer, crossbar_bits, batch)
 
 
@@ -610,9 +777,7 @@ def run_inference(
                 continue
             w = weights.arrays[i].reshape(layer.weight_shape[0], -1)
             if not layer.binarized:
-                golden, crossbar = _each(
-                    lambda x: _activation(layer, _pixel_matmul(x, w, layer) >= 0, len(x)), golden, crossbar
-                )
+                golden, crossbar = _each(lambda x: _activation(layer, _pixel_bits(x, w, layer), len(x)), golden, crossbar)
             elif i < acts:
                 golden, crossbar = _binarized(layer, w, golden, crossbar, backend, tie_high)
             else:  # raw class scores, no thresholding

@@ -155,15 +155,17 @@ def evaluators_agree(lengths, x: int, count: int, cells: np.ndarray) -> bool:
 
 
 def chain_matches_scalar(rows: int, fan_in: int, kind: str, count: int, x: int, rng) -> bool:
-    """`netio._fc_bits_crossbar` on the segment dots of random bit matrices
-    (48 inputs, 6 neurons) gives uint8 bits equal to `crossbar.layer_forward`
-    per (input row, neuron)."""
+    """`netio._fc_bits_crossbar` on the segment popcounts of random bit
+    matrices (48 inputs, 7 neurons: one lane holds a single row) gives
+    uint8 bits equal to `crossbar.layer_forward` per (input row, neuron)."""
     cfg = crossbar.CrossbarConfig(rows, rows)
     lengths = crossbar.segment_lengths(fan_in, rows)
     refs = crossbar.ReferenceSet(lengths[0], x, count)
     a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
-    w = rng.integers(0, 2, (6, fan_in), dtype=np.uint8)
-    got = netio._fc_bits_crossbar(netio._segment_dots(a, w, lengths), lengths, netio.CrossbarBackend(cfg, refs, kind))
+    w = rng.integers(0, 2, (7, fan_in), dtype=np.uint8)
+    backend = netio.CrossbarBackend(cfg, refs, kind)
+    with netio._workspace().frame():
+        got = netio._fc_bits_crossbar(netio._segment_counts(a, w, lengths), lengths, backend)
     policy = cascade.CascadePolicy(kind, refs)
     groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
     want = [

@@ -193,7 +193,7 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
 
         monkeypatch.setattr(netio, name, recording)
 
-    for name in ("_pixel_matmul", "_segment_dots", "_fc_bits_golden", "_fc_bits_crossbar", "_signed_matmul"):
+    for name in ("_pixel_bits", "_segment_counts", "_fc_bits_golden", "_fc_bits_crossbar", "_signed_matmul"):
         record(name)
     monkeypatch.setattr(netio, "_CHUNK", 7)  # 16 images in 3 chunks
     report = run_inference(net, weights, images, want_scores.argmax(axis=1), backend)
@@ -201,10 +201,10 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
     def outputs(name):
         return np.concatenate([out for _, out in calls[name]])
 
-    # the first binarized conv's band GEMM runs once per chunk, for both chains
+    # the first binarized conv's GEMMs run once per chunk, for both chains
     first = net.weight_layers[1]
-    assert sum(args[3] is first for args, _ in calls["_segment_dots"]) == 3
-    assert np.array_equal(outputs("_pixel_matmul") >= 0, pixel_rows)
+    assert sum(args[3] is first for args, _ in calls["_segment_counts"]) == 3
+    assert np.array_equal(outputs("_pixel_bits"), pixel_rows)
     golden = outputs("_fc_bits_golden")
     assert golden.dtype == np.uint8 and np.array_equal(golden, binarized_rows)
     # in every chunk the golden chain's scores come first
@@ -272,17 +272,19 @@ def test_chains_that_never_diverge_share_every_layer(monkeypatch):
     assert [m for _, m in report.layer_mismatch] == [0.0]
 
 
-@pytest.mark.parametrize("name, dtype", [("lenet-5", np.float32), ("mlp-s", np.float64)])
+# the centred pixel GEMM is one float32 GEMM up to a fan-in of 1024: lenet-5's
+# 25 and mlp-s's 784 alike
+@pytest.mark.parametrize("name, dtype", [("lenet-5", np.float32), ("mlp-s", np.float32)])
 def test_first_layer_gemm_runs_once_per_chunk(monkeypatch, name, dtype):
     dtypes = []
-    real = netio._pixel_matmul
+    real = netio._pixel_dots
 
     def recording(*args):
-        out = real(*args)
-        dtypes.append(out.dtype)
-        return out
+        dots, threshold = real(*args)
+        dtypes.append(dots.dtype)
+        return dots, threshold
 
-    monkeypatch.setattr(netio, "_pixel_matmul", recording)
+    monkeypatch.setattr(netio, "_pixel_dots", recording)
     monkeypatch.setattr(netio, "_CHUNK", 7)
     net = named_network(name)
     images = np.random.default_rng(5).integers(0, 256, (20, 28, 28), dtype=np.uint8)
