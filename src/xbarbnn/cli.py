@@ -88,7 +88,9 @@ def cmd_loss_sweep(args) -> int:
     ref_counts = _resolve(args, config, "ref_counts", (1, 3, 5, 7))
 
     segment = nu // 2
-    resolved = {
+    # the exact table is always AND and OR over EXACT_NU_GRID: no other
+    # setting shapes its rows, so none enters its hash
+    resolved = {"command": "loss-sweep", "mode": mode} if mode == "exact" else {
         "command": "loss-sweep", "mode": mode, "policy": policy_kind, "nu": nu,
         "samples": samples, "sigma": sigma, "seed": seed,
         "x_grid": list(x_grid) if x_grid else None, "ref_counts": list(ref_counts),

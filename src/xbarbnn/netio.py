@@ -290,26 +290,29 @@ def _read_idx_header(blob: bytes, path, magic: int, ndim: int) -> tuple:
     return struct.unpack_from(f">{ndim}I", blob, 4)
 
 
-def load_idx_images(path) -> np.ndarray:
-    """MNIST-layout image file: big-endian header, then unsigned-byte pixels."""
+def _idx_payload(path, magic: int, ndim: int) -> tuple[tuple, np.ndarray]:
+    """(dims, uint8 payload) of an IDX file whose payload is exactly the
+    bytes its header declares; IdxFormatError on a short or long file."""
     with open(path, "rb") as f:
         blob = f.read()
-    count, rows, cols = _read_idx_header(blob, path, IDX_IMAGE_MAGIC, 3)
-    need = 16 + count * rows * cols
-    if len(blob) < need:
-        raise IdxFormatError(f"{path}: payload ends at byte {len(blob)}, expected {need}")
-    data = np.frombuffer(blob, np.uint8, count=count * rows * cols, offset=16)
-    return data.reshape(count, rows, cols).copy()
+    dims = _read_idx_header(blob, path, magic, ndim)
+    start = 4 * (1 + ndim)
+    need = start + math.prod(dims)
+    if len(blob) != need:
+        what = "ends at" if len(blob) < need else "runs past the declared payload to"
+        raise IdxFormatError(f"{path}: payload {what} byte {len(blob)}, expected {need}")
+    return dims, np.frombuffer(blob, np.uint8, offset=start)
+
+
+def load_idx_images(path) -> np.ndarray:
+    """MNIST-layout image file: big-endian header, then unsigned-byte pixels."""
+    dims, data = _idx_payload(path, IDX_IMAGE_MAGIC, 3)
+    return data.reshape(dims).copy()
 
 
 def load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-    (count,) = _read_idx_header(blob, path, IDX_LABEL_MAGIC, 1)
-    need = 8 + count
-    if len(blob) < need:
-        raise IdxFormatError(f"{path}: payload ends at byte {len(blob)}, expected {need}")
-    labels = np.frombuffer(blob, np.uint8, count=count, offset=8).copy()
+    _, labels = _idx_payload(path, IDX_LABEL_MAGIC, 1)
+    labels = labels.copy()
     if labels.size and labels.max() > 9:
         raise IdxFormatError(f"{path}: label {labels.max()} outside [0, 9]")
     return labels
@@ -448,63 +451,70 @@ def _input_rows(x: np.ndarray, layer) -> int:
 
 
 def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(O, C*k*k) kernel rows, (c, i, j) order -> `out`, the (k * W * C,
-    ow * O) block-Toeplitz matrix of a conv: column block q holds every
-    kernel at the input columns of window q (q*s .. q*s + k - 1) of the k
-    input rows an output row reads, with exact zeros elsewhere."""
+    """(O, C*k*k) kernel rows, (c, i, j) order -> `out`, the (ow * O,
+    k * W * C) block-Toeplitz rows of a conv: row (q, o) holds kernel o at
+    the input columns of window q (q*s .. q*s + k - 1) of the k input rows
+    that an output row reads, with exact zeros elsewhere."""
     k, s, c, o = layer.kernel, layer.stride, layer.in_channels, len(w)
-    t = out.reshape(k, layer.input_w, c, layer.out_w, o)
+    t = out.reshape(layer.out_w, o, k, layer.input_w, c)
     t[...] = 0
-    kernels = w.reshape(o, c, k, k).transpose(2, 3, 1, 0)  # (i, j, c, o)
+    kernels = w.reshape(o, c, k, k).transpose(0, 2, 3, 1)  # (o, i, j, c)
     for q in range(layer.out_w):
-        t[:, q * s : q * s + k, :, q] = kernels
+        t[q, :, :, q * s : q * s + k] = kernels
     return out
 
 
-def _spans(x, w, spans, layer, shift, dtype, ws):
-    """Generator of one GEMM per fan-in span of `spans` (lo, hi): the
-    activations `x` entering a weight layer, cast to x - `shift` as `dtype`,
-    times the weight rows `w(lo, hi)` returns (O', fan-in columns lo:hi), as
-    an (input rows, O') workspace view that the next span overwrites.
+def _gemms(x, w, spans, layer, shift, pack=None):
+    """Generator of one GEMM per fan-in span (lo, hi) of `spans`: the
+    activations `x` entering a weight layer, cast to x - `shift` in the
+    dtype of its weight rows `w` (O, fan-in), times those rows restricted
+    to the span. Each is an (M, N) workspace view that the next span
+    overwrites. `pack(rows, lo, hi)` may replace the span's (N, K) operand
+    rows by other rows before the GEMM.
 
     An FC layer flattens `x` per image, in the (c, h, w) order of its weight
-    columns, and casts one span at a time. A conv (`layer` a ConvLayer, `x`
-    NHWC) casts `x` once; for each output row it multiplies the k input rows
-    that row reads (a strided view, nothing copied) by the block-Toeplitz
-    matrix of the span's kernel columns, zero elsewhere. Its input rows are
-    the (image, window) rows, row-major per image. The zeros add exact
-    zeros, so every partial sum of a span is a sum of at most its length of
-    nonzero products, as in the FC product."""
+    columns, and casts one span at a time: M is the images, N = O, K the
+    span. A conv (`layer` a ConvLayer, `x` NHWC) casts `x` once and, for
+    each output row, multiplies the k input rows that row reads (a strided
+    view, nothing copied) by the block-Toeplitz rows of the span's kernel
+    columns, zero elsewhere: M is (image, output row), N = (window, O),
+    K = k * W * C, so an (M, N) array is the (image, window) rows of the
+    layer, row-major per image. The zeros add exact zeros, so every partial
+    sum of a span is a sum of at most its length of nonzero products, as in
+    the FC product."""
+    ws = _workspace()
     conv = isinstance(layer, ConvLayer)
-    rows = _input_rows(x, layer)
     if conv:
-        xf = ws.take(x.shape, dtype)
-        np.subtract(x, shift, out=xf, dtype=dtype)
+        xf = ws.take(x.shape, w.dtype)
+        np.subtract(x, shift, out=xf, dtype=w.dtype)
         k, s, oh = layer.kernel, layer.stride, layer.out_h
+        part = ws.take(w.shape, w.dtype)
+        rows = ws.take((layer.out_w * len(w), k * layer.input_w * layer.in_channels), w.dtype)
     else:
         if x.ndim == 4:  # NHWC conv activations
             x = x.transpose(0, 3, 1, 2)
         x = x.reshape(len(x), -1)
-        xf_flat = ws.take((rows * max(hi - lo for lo, hi in spans),), dtype)
+        xf_flat = ws.take((len(x) * max(hi - lo for lo, hi in spans),), w.dtype)
     out = None
     for lo, hi in spans:
-        wf = w(lo, hi)
-        if out is None:
-            out = ws.take((rows, len(wf)), dtype)
-            if conv:
-                part = ws.take((len(wf), layer.fan_in), dtype)
-                t = ws.take((k * layer.input_w * layer.in_channels, layer.out_w * len(wf)), dtype)
-                by_row = out.reshape(len(x), oh, -1)
         if conv:
-            part[:] = 0
-            part[:, lo:hi] = wf
-            _toeplitz(layer, part, t)
-            for r in range(oh):
-                np.matmul(xf[:, r * s : r * s + k].reshape(len(x), -1), t, out=by_row[:, r])
+            part[...] = 0
+            part[:, lo:hi] = w[:, lo:hi]
+            operand = _toeplitz(layer, part, rows)
         else:
-            xf = xf_flat[: rows * (hi - lo)].reshape(rows, hi - lo)
-            np.subtract(x[:, lo:hi], shift, out=xf, dtype=dtype)
-            np.matmul(xf, wf.T, out=out)
+            operand = w[:, lo:hi]
+        if pack is not None:
+            operand = pack(operand, lo, hi)
+        if out is None:
+            out = ws.take((len(x) * (oh if conv else 1), len(operand)), w.dtype)
+        if conv:
+            by_row = out.reshape(len(x), oh, -1)
+            for r in range(oh):
+                np.matmul(xf[:, r * s : r * s + k].reshape(len(x), -1), operand.T, out=by_row[:, r])
+        else:
+            xf = xf_flat[: len(x) * (hi - lo)].reshape(len(x), hi - lo)
+            np.subtract(x[:, lo:hi], shift, out=xf, dtype=w.dtype)
+            np.matmul(xf, operand.T, out=out)
         yield out
 
 
@@ -524,44 +534,51 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
     layer against its weight bit rows `w_bits` (O, fan-in), one float32
     (input rows, O) array per fan-in segment of `lengths`, in order. Each is
     a workspace view that the next segment overwrites: read it before
-    drawing the next.
+    drawing the next. The caller holds the workspace frame.
 
-    Two weight rows share one float32 lane: row j and row h + j (h =
-    ceil(O/2)) pack as (2b_j - 1) + B (2b_{h+j} - 1), with B the smallest
-    power of two above the span length m, and the activations cast to
-    b - 1/2. The GEMM then gives r = (d_j + B d_{h+j}) / 2 for the signed
-    dots d, and q = r + m(1 + B)/2 = c_j + B c_{h+j} for the popcounts
-    c = (m + d)/2 < B: c_{h+j} = floor(q / B), c_j = q - B c_{h+j}. Every
-    partial sum is at most m(1 + B)/2 < 2^23 for m <= 4095, so the GEMM is
-    exact in any summation order; a longer segment is summed from spans of
-    at most 4095. An odd row count leaves row h - 1 alone in its lane. The
-    counts are exact while the fan-in is below 2^24."""
-    o = len(w_bits)
-    h, p = (o + 1) // 2, o // 2  # lanes; lanes that hold two rows
+    Two GEMM operand rows share one float32 lane: of N rows (`_gemms`),
+    row j and row H + j (H = ceil(N/2)) pack as (2b_j - 1) + B (2b_{H+j} - 1),
+    with B the smallest power of two above the span length m, and the
+    activations cast to b - 1/2. The GEMM then gives r = (d_j + B d_{H+j}) / 2
+    for the signed dots d, and q = r + m(1 + B)/2 = c_j + B c_{H+j} for the
+    popcounts c = (m + d)/2 < B: c_{H+j} = floor(q / B), c_j = q - B c_{H+j}.
+    Every partial sum is a multiple of 1/2 of magnitude at most
+    m(1 + B)/2 < 2^23 for m <= 4095, so the GEMM is exact in any summation
+    order; a longer segment is summed from spans of at most 4095. An odd
+    row count leaves row H - 1 alone in its lane. The counts are exact
+    while the fan-in is below 2^24."""
     ws = _workspace()
+    signed = ws.take(w_bits.shape)
+    np.multiply(w_bits, 2, out=signed, dtype=np.float32)
+    signed -= 1
     blocks = _blocks(lengths, _LANE_SPAN)
-    packed = ws.take((h * max(hi - lo for spans in blocks for lo, hi in spans),))
-    offset = ws.take((h,))
-    counts = ws.take((_input_rows(x, layer), o))
-    extra = ws.take(counts.shape) if max(map(len, blocks)) > 1 else None
+    n = len(w_bits) * (layer.out_w if isinstance(layer, ConvLayer) else 1)  # operand rows
+    h, p = (n + 1) // 2, n // 2  # lanes; lanes that hold two rows
+    if isinstance(layer, ConvLayer):
+        width = layer.kernel * layer.input_w * layer.in_channels
+    else:
+        width = max(hi - lo for spans in blocks for lo, hi in spans)
+    packed, offset = ws.take((h * width,)), ws.take((h,))
 
-    def lanes(lo, hi):
+    def pack(rows, lo, hi):
         base = 1 << (hi - lo).bit_length()
-        wp = packed[: h * (hi - lo)].reshape(h, hi - lo)
-        np.multiply(w_bits[h:, lo:hi], base, out=wp[:p], dtype=np.float32)
-        np.add(wp[:p], w_bits[:p, lo:hi], out=wp[:p], dtype=np.float32)
-        np.copyto(wp[p:], w_bits[p:h, lo:hi])
-        wp *= 2
-        wp[:p] -= 1 + base
-        wp[p:] -= 1
+        lanes = packed[: h * rows.shape[1]].reshape(h, -1)
+        np.multiply(rows[h:], base, out=lanes[:p])
+        lanes[:p] += rows[:p]
+        lanes[p:] = rows[p:h]
         offset[:p] = (hi - lo) * (1 + base) / 2
         offset[p:] = (hi - lo) / 2
-        return wp
+        return lanes
 
-    gemms = _spans(x, lanes, [s for spans in blocks for s in spans], layer, 0.5, np.float32, ws)
+    gemms = _gemms(x, signed, [span for spans in blocks for span in spans], layer, 0.5, pack)
+    counts = extra = None
     for spans in blocks:
         for i, (lo, hi) in enumerate(spans):
             q = next(gemms)
+            if counts is None:
+                counts = ws.take((len(q), n))
+            if i == 1:
+                extra = extra if extra is not None else ws.take(counts.shape)
             q += offset
             dst = counts if i == 0 else extra
             base = 1 << (hi - lo).bit_length()
@@ -573,7 +590,7 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
             dst[:, p:h] = q[:, p:]
             if i:
                 counts += extra
-        yield counts
+        yield counts.reshape(-1, len(w_bits))
 
 
 def _segment_dots(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], layer=None) -> list[np.ndarray]:
@@ -596,7 +613,8 @@ def _pixel_dots(x: np.ndarray, w: np.ndarray, layer=None) -> tuple[np.ndarray, n
     weight rows `w`, one row per input row (per image, or per (image,
     window) of a conv on NHWC pixels), as a workspace view `dots` and a
     per-column `threshold` with dot product = dots - threshold; the layer
-    fires where dots >= threshold.
+    fires where dots >= threshold. The dots are the (M, N) GEMM outputs of
+    `_gemms`: for a conv, N holds every (window, output) of an output row.
 
     uint8 pixels are centred: dots = sum (x - 128) w and threshold =
     -128 sum w. Each product is then at most 128 * 128 = 2^14 in magnitude,
@@ -616,11 +634,14 @@ def _pixel_dots(x: np.ndarray, w: np.ndarray, layer=None) -> tuple[np.ndarray, n
         spans = [(0, w.shape[1])]
     weights = ws.take(w.shape, dtype)
     np.copyto(weights, w)
-    gemms = _spans(x, lambda lo, hi: weights[:, lo:hi], spans, layer, shift, dtype, ws)
+    if isinstance(layer, ConvLayer):  # one threshold per (window, output) column
+        threshold = np.tile(threshold, layer.out_w)
+    gemms = _gemms(x, weights, spans, layer, shift)
+    first = next(gemms)
     if len(spans) == 1:
-        return next(gemms), threshold.astype(dtype)
-    dots = ws.take((_input_rows(x, layer), len(w)), np.float64)
-    dots[...] = next(gemms)
+        return first, threshold.astype(dtype)
+    dots = ws.take(first.shape, np.float64)
+    dots[...] = first
     for part in gemms:
         dots += part
     return dots, threshold
@@ -631,7 +652,7 @@ def _pixel_bits(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
     1 where the exact dot product is at least 0."""
     with _workspace().frame():
         dots, threshold = _pixel_dots(x, w, layer)
-        return np.greater_equal(dots, threshold).view(np.uint8)
+        return np.greater_equal(dots, threshold).view(np.uint8).reshape(-1, len(w))
 
 
 def _pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
@@ -643,7 +664,7 @@ def _pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
     with _workspace().frame():
         dots, threshold = _pixel_dots(x, w, layer)
         exact32 = x.dtype == np.uint8 and 255 * 128 * w.shape[1] <= _FLOAT32_EXACT
-        return np.subtract(dots, threshold, dtype=np.float32 if exact32 else np.float64)
+        return np.subtract(dots, threshold, dtype=np.float32 if exact32 else np.float64).reshape(-1, len(w))
 
 
 def _fc_bits_golden(counts: np.ndarray, fan_in: int, tie_high: bool) -> np.ndarray:

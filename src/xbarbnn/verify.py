@@ -62,9 +62,18 @@ DATAFLOW_CASES = (
 # (10+10+7, 10+8)
 CONV_SPLIT_ROWS = (512, 16, 10)
 
-# one float32 block of 514 columns (255 * 128 * 514 <= 2^24), and one column
-# past one and two blocks
+# the exact pixel dot's float32 bound of 514 columns (255 * 128 * 514 <=
+# 2^24) and one column past it; two centred blocks of 1024 columns, with
+# one and five columns in the second
 PIXEL_FAN_INS = (514, 515, 1028, 1029)
+
+# one centred float32 GEMM (1024 columns of products up to 2^14), and one
+# column past it
+CENTRED_FAN_INS = (1024, 1025)
+
+# packed +-1 lanes: spans of B - 1 and B for B = 512, and 4095 (the longest
+# exact span, lane base 4096) and 4096 (two spans)
+LANE_SPANS = (511, 512, 4095, 4096)
 
 
 # --------------------------------------------------------------- oracles
@@ -119,6 +128,22 @@ def scalar_intervals(cells: np.ndarray, lengths, refs) -> np.ndarray:
         table = np.array([crossbar.sa_read(d, refs.for_segment(n)).interval_index for d in range(n + 1)])
         cols.append(table[np.clip(cells[:, s], 0, n)])
     return np.stack(cols, axis=1)
+
+
+def and_or_hold(lengths, x: int, count: int) -> bool:
+    """Walk every per-segment count cell of one split, a margin outside
+    0..length included: AND fires iff every segment's count exceeds its
+    main reference (half its length), OR iff any does, in both cascade
+    evaluators."""
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
+    cells = count_cells(lengths, 2)
+    above = cells > np.array(lengths) // 2
+    intervals = scalar_intervals(cells, lengths, refs)
+    return all(
+        np.array_equal(cascade.decide_counts(kind, cells.T, lengths, refs), want)
+        and np.array_equal(cascade.decide_batch(kind, intervals, lengths, refs), want)
+        for kind, want in (("AND", above.all(axis=1)), ("OR", above.any(axis=1)))
+    )
 
 
 def cascade_guarantees_hold(lengths, x: int, count: int) -> bool:
@@ -272,6 +297,10 @@ def cascade_guarantees() -> bool:
     return all(cascade_guarantees_hold(*layout) for layout in _cascade_layouts())
 
 
+def and_or_definitions() -> bool:
+    return all(and_or_hold(*layout) for layout in _cascade_layouts())
+
+
 def evaluators() -> bool:
     """Every count cell (a margin outside 0..length included) of every
     cascade split, so every level of every segment length, and mlp-l's
@@ -296,6 +325,47 @@ def pixel_gemm() -> bool:
         w[2, 0] = 127  # an odd sum, past 2^24 at 1029: one float32 GEMM would round it
         if not np.array_equal(netio._pixel_matmul(a, w), a.astype(np.int64) @ w.astype(np.int64).T):
             return False
+    return True
+
+
+def centred_gemm() -> bool:
+    """Pixel rows whose exact dot is -1, 0 or +1 while the centred partial
+    sums reach 2^24: x = 0 against w = -128 in every column but the first,
+    where x = 1 meets w = d. `_pixel_bits` must fire iff d >= 0 and
+    `_pixel_matmul` must give d."""
+    for fan_in in CENTRED_FAN_INS:
+        a = np.zeros((1, fan_in), np.uint8)
+        a[0, 0] = 1
+        w = np.full((3, fan_in), -128, np.int8)
+        w[:, 0] = (-1, 0, 1)
+        if not (
+            np.array_equal(netio._pixel_bits(a, w), [[0, 1, 1]])
+            and np.array_equal(netio._pixel_matmul(a, w), [[-1, 0, 1]])
+        ):
+            return False
+    return True
+
+
+def packed_lanes() -> bool:
+    """`netio._segment_dots` against an int64 signed dot over one segment
+    and over that segment plus a 7-column one. Seven weight rows, so three
+    lanes hold two rows and one holds a single row: against all-ones
+    activations the lanes pair all-match with all-match (the largest packed
+    sum), all-mismatch with all-match, and a random row with all-match;
+    all-zeros and random activation rows complete the cases."""
+    rng = np.random.default_rng(5)
+    for m in LANE_SPANS:
+        n = m + 7
+        ones, zeros = np.ones(n, np.uint8), np.zeros(n, np.uint8)
+        r = rng.integers(0, 2, (2, n), dtype=np.uint8)
+        a = np.stack([ones, zeros, r[0]])
+        w = np.stack([ones, zeros, r[1], zeros, ones, ones, ones])  # lanes (0, 4), (1, 5), (2, 6); row 3 alone
+        sa, sw = 2 * a.astype(np.int64) - 1, 2 * w.astype(np.int64) - 1
+        for lengths in ((n,), (m, 7)):
+            bounds = np.cumsum((0,) + lengths)
+            for dot, lo, hi in zip(netio._segment_dots(a, w, lengths), bounds[:-1], bounds[1:]):
+                if not np.array_equal(dot, sa[:, lo:hi] @ sw[:, lo:hi].T):
+                    return False
     return True
 
 
@@ -383,7 +453,13 @@ CHECKS = (
     (f"F1 sound / F2 complete over all count cells, splits {_shapes(CASCADE_SPLITS)}", cascade_guarantees),
     ("decide_counts == decide_batch on sa_read intervals, 3 and 5 references, int64 and float32 counts, "
      f"every count cell of the cascade splits, 10^5 tuples on {_shapes(MLPL_SPLITS)}", evaluators),
+    (f"AND/OR fire iff every/any count exceeds its main reference, all count cells, splits {_shapes(CASCADE_SPLITS)}",
+     and_or_definitions),
     (f"blocked pixel GEMM == int64 product, fan-ins {PIXEL_FAN_INS}", pixel_gemm),
+    (f"centred pixel GEMM fires iff the dot >= 0, dots -1/0/+1 at centred sums near 2^24, fan-ins {CENTRED_FAN_INS}",
+     centred_gemm),
+    (f"packed +-1 lanes == int64 signed dot, all-match and all-mismatch rows, 7 rows, spans {LANE_SPANS}",
+     packed_lanes),
     ("batched crossbar chain == scalar layer_forward, splits "
      f"{_shapes(crossbar.segment_lengths(n, rows) for rows, n in CHAIN_SPLITS)}", chain),
     ("pair-count census == raw exhaustive walk, false positives and negatives, AND/OR/F1", census),

@@ -148,6 +148,17 @@ def _idx_pair(tmp_path, h: int, w: int, n: int = 4) -> list[str]:
     return ["--images", str(images), "--labels", str(labels)]
 
 
+@pytest.mark.parametrize("image_junk, label_junk", [(20, 2), (0, 1), (1, 0)])
+def test_idx_bytes_past_the_declared_payload_are_one_line_and_exit_2(tmp_path, capsys, image_junk, label_junk):
+    argv = ["infer", "--network", "mlp-s", "--seed", "1"] + _idx_pair(tmp_path, 28, 28)
+    for path, junk in ((argv[-3], image_junk), (argv[-1], label_junk)):
+        with open(path, "ab") as f:
+            f.write(bytes(junk))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "runs past the declared payload" in err
+
+
 @pytest.mark.parametrize("network", ["lenet-5", "mlp-s"])
 def test_infer_reads_idx_images_of_the_input_size_only(tmp_path, capsys, network):
     argv = ["infer", "--network", network, "--seed", "1"]
@@ -179,3 +190,13 @@ def test_loss_sweep_is_deterministic_and_attributed(tmp_path, mode):
             report = enumerate_loss(nu, nu // 2, CascadePolicy(row["policy"], ReferenceSet(nu // 2)))
             assert (int(row["mismatch_fp"]), int(row["mismatch_fn"])) == (report.false_positives, report.false_negatives)
             assert row["loss_fraction"] == f"{report.loss_fraction:.6g}"
+
+
+def test_exact_loss_sweep_hashes_only_what_shapes_its_rows(tmp_path):
+    # --nu, --policy, --samples, --sigma and --x-grid do not reach the exact table
+    outputs = []
+    for extra in (["--nu", "32"], ["--nu", "512", "--policy", "F1", "--samples", "7", "--sigma", "0.3", "--x-grid", "2"]):
+        path = tmp_path / "exact.csv"
+        assert main(["loss-sweep", "--mode", "exact", "--seed", "3", "--out", str(path)] + extra) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -298,3 +301,58 @@ def test_run_inference_rejects_unpaired_labels():
     images = np.zeros((4, 28, 28), np.uint8)
     with pytest.raises(ValueError, match="4 images vs 3 labels"):
         run_inference(net, WeightContainer.random(net, 1), images, np.zeros(3, np.uint8))
+
+
+def _mlpl_batch(n):
+    net = named_network("mlp-l")
+    rng = np.random.default_rng(6)
+    images = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
+    backend = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
+    return net, WeightContainer.random(net, 3), images, rng.integers(0, 10, n, dtype=np.uint8), backend
+
+
+def test_a_second_identical_call_reuses_the_workspace():
+    args = _mlpl_batch(256)
+    peaks, reports = [], []
+
+    def two_calls():  # in a fresh thread, whose workspace starts empty
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                reports.append(run_inference(*args).to_dict())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+    thread = threading.Thread(target=two_calls)
+    thread.start()
+    thread.join()
+    assert reports[0] == reports[1]
+    # the first call maps the workspace (the pixel layer's float32 weights
+    # alone are 4.5 MiB); the second carves every float temporary from it
+    assert peaks[0] > 4 * 2**20
+    assert peaks[1] < 2 * 2**20
+
+
+def test_threads_running_different_nets_at_once_match_sequential_runs():
+    lenet = named_network("lenet-5")
+    images = np.random.default_rng(8).integers(0, 256, (300, 28, 28), dtype=np.uint8)
+    runs = [
+        (lenet, WeightContainer.random(lenet, 4), images, np.zeros(300, np.uint8), SPLIT_BACKEND),
+        _mlpl_batch(300),
+    ]
+    want = [run_inference(*args).to_dict() for args in runs]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        for _ in range(3):
+            got[i].append(run_inference(*runs[i]).to_dict())
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == [[want[0]] * 3, [want[1]] * 3]
