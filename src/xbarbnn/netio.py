@@ -3,18 +3,39 @@ end-to-end inference runner that compares the crossbar execution against the
 exact software model. The runner moves both chains through the layers in
 lockstep and shares work by tensor identity: while the crossbar tensor is the
 golden one (the same object), a layer runs once for both. The first
-binarized layer's per-segment dots are also computed once; the chains
+binarized layer's per-segment popcounts are also computed once; the chains
 diverge at its decisions.
 
 Conv activations are NHWC (batch, height, width, channels) from the images
 to the first FC layer, which flattens them in the (c, h, w) order of its
-weight columns. A conv layer is one GEMM per fan-in segment and no window
-is copied: the band (one row per image and output row, holding the k input
-rows that row's windows read) times a block-Toeplitz weight matrix (each
-window's kernel in its column block, exact zeros elsewhere). Every partial
-sum is a sum of at most fan-in nonzero integer products, so the GEMMs are
-exact in float32 for +-1 layers up to a fan-in of 2^24, and for uint8 x int8
-pixels over blocks of at most 514 fan-in columns (255 * 128 * 514 <= 2^24).
+weight columns. A conv layer is one GEMM per output row and fan-in span, and
+no window is copied: the k input rows an output row reads (a strided view
+of the cast activations) times block-Toeplitz weight rows (each window's
+kernel in its column block, exact zeros elsewhere).
+
+Both GEMMs are exact in float32, in any summation order:
+
+* Binarized layers put two +-1 weight rows in one float32 lane,
+  w_lo + B w_hi with B the smallest power of two above the span length m,
+  against activations b - 1/2. Every partial sum is a multiple of 1/2 of
+  magnitude at most m(1 + B)/2 < 2^23 for m <= 4095, so longer segments are
+  summed from spans of at most 4095; the popcounts are exact while the
+  fan-in is below 2^24 (`_segment_counts`).
+* The non-binarized layer centres its uint8 pixels: (x - 128) w is at most
+  128 * 128 = 2^14 in magnitude, so one GEMM covers 1024 fan-in columns
+  (2^24 / 2^14), and the layer fires iff the centred dot is at least
+  -128 sum w (`_pixel_dots`).
+
+Every large float temporary of a pixel or binarized layer (the cast
+activations and weights, the GEMM outputs, the golden count sums and the
+cascade accumulators) is a view into one workspace per thread
+(`_Workspace`), carved with stack discipline: a layer's frame returns its
+carve on exit, so nothing in it outlives the layer, and activations and the
+bits of `_fc_bits_*` are ordinary arrays. The buffer is mapped on first use,
+grows only when a larger live set arrives and is reused across segments,
+layers, chunks and calls for the thread's lifetime; its size is the largest
+layer's live set, which `_CHUNK` bounds for any dataset size. Threads never
+share one, so concurrent calls are independent.
 
 Topology grammar ("-" separated tokens):
     "5x5,6"     conv, 5x5 kernel, 6 output channels
@@ -388,7 +409,8 @@ class InferenceReport:
 _FLOAT32_EXACT = 1 << 24
 
 # The longest span of a packed +-1 GEMM: its lane base B is 4096 and every
-# partial sum is at most m(1 + B) / 2 = 4095 * 4097 / 2 < 2^24.
+# partial sum is a multiple of 1/2 of magnitude at most
+# m(1 + B) / 2 = 4095 * 4097 / 2 < 2^23, which float32 holds exactly.
 _LANE_SPAN = 4095
 
 
@@ -464,13 +486,13 @@ def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gemms(x, w, spans, layer, shift, pack=None):
-    """Generator of one GEMM per fan-in span (lo, hi) of `spans`: the
-    activations `x` entering a weight layer, cast to x - `shift` in the
-    dtype of its weight rows `w` (O, fan-in), times those rows restricted
-    to the span. Each is an (M, N) workspace view that the next span
-    overwrites. `pack(rows, lo, hi)` may replace the span's (N, K) operand
-    rows by other rows before the GEMM.
+def _gemms(x, w, spans, layer, shift, dtype, pack=None):
+    """Generator of one `dtype` GEMM per fan-in span (lo, hi) of `spans`:
+    the activations `x` entering a weight layer, cast to x - `shift`, times
+    its weight rows `w` (O, fan-in) restricted to the span. Each is an
+    (M, N) workspace view that the next span overwrites. `pack(rows, lo,
+    hi)` may replace the span's (N, K) operand rows by other rows before
+    the GEMM.
 
     An FC layer flattens `x` per image, in the (c, h, w) order of its weight
     columns, and casts one span at a time: M is the images, N = O, K the
@@ -485,16 +507,16 @@ def _gemms(x, w, spans, layer, shift, pack=None):
     ws = _workspace()
     conv = isinstance(layer, ConvLayer)
     if conv:
-        xf = ws.take(x.shape, w.dtype)
-        np.subtract(x, shift, out=xf, dtype=w.dtype)
+        xf = ws.take(x.shape, dtype)
+        np.subtract(x, shift, out=xf, dtype=dtype)
         k, s, oh = layer.kernel, layer.stride, layer.out_h
-        part = ws.take(w.shape, w.dtype)
-        rows = ws.take((layer.out_w * len(w), k * layer.input_w * layer.in_channels), w.dtype)
+        part = ws.take(w.shape, dtype)
+        rows = ws.take((layer.out_w * len(w), k * layer.input_w * layer.in_channels), dtype)
     else:
         if x.ndim == 4:  # NHWC conv activations
             x = x.transpose(0, 3, 1, 2)
         x = x.reshape(len(x), -1)
-        xf_flat = ws.take((len(x) * max(hi - lo for lo, hi in spans),), w.dtype)
+        xf_flat = ws.take((len(x) * max(hi - lo for lo, hi in spans),), dtype)
     out = None
     for lo, hi in spans:
         if conv:
@@ -506,14 +528,14 @@ def _gemms(x, w, spans, layer, shift, pack=None):
         if pack is not None:
             operand = pack(operand, lo, hi)
         if out is None:
-            out = ws.take((len(x) * (oh if conv else 1), len(operand)), w.dtype)
+            out = ws.take((len(x) * (oh if conv else 1), len(operand)), dtype)
         if conv:
             by_row = out.reshape(len(x), oh, -1)
             for r in range(oh):
                 np.matmul(xf[:, r * s : r * s + k].reshape(len(x), -1), operand.T, out=by_row[:, r])
         else:
             xf = xf_flat[: len(x) * (hi - lo)].reshape(len(x), hi - lo)
-            np.subtract(x[:, lo:hi], shift, out=xf, dtype=w.dtype)
+            np.subtract(x[:, lo:hi], shift, out=xf, dtype=dtype)
             np.matmul(xf, operand.T, out=out)
         yield out
 
@@ -548,13 +570,17 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
     row count leaves row H - 1 alone in its lane. The counts are exact
     while the fan-in is below 2^24."""
     ws = _workspace()
-    signed = ws.take(w_bits.shape)
-    np.multiply(w_bits, 2, out=signed, dtype=np.float32)
-    signed -= 1
+    conv = isinstance(layer, ConvLayer)
+    if conv:  # +-1 kernels, so that the Toeplitz zeros stay zeros
+        w = ws.take(w_bits.shape)
+        np.multiply(w_bits, 2, out=w, dtype=np.float32)
+        w -= 1
+    else:
+        w = w_bits
     blocks = _blocks(lengths, _LANE_SPAN)
     n = len(w_bits) * (layer.out_w if isinstance(layer, ConvLayer) else 1)  # operand rows
     h, p = (n + 1) // 2, n // 2  # lanes; lanes that hold two rows
-    if isinstance(layer, ConvLayer):
+    if conv:
         width = layer.kernel * layer.input_w * layer.in_channels
     else:
         width = max(hi - lo for spans in blocks for lo, hi in spans)
@@ -563,14 +589,18 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
     def pack(rows, lo, hi):
         base = 1 << (hi - lo).bit_length()
         lanes = packed[: h * rows.shape[1]].reshape(h, -1)
-        np.multiply(rows[h:], base, out=lanes[:p])
-        lanes[:p] += rows[:p]
+        np.multiply(rows[h:], base, out=lanes[:p], dtype=np.float32)
+        np.add(lanes[:p], rows[:p], out=lanes[:p], dtype=np.float32)
         lanes[p:] = rows[p:h]
+        if not conv:  # bits b -> 2b - 1
+            lanes *= 2
+            lanes[:p] -= 1 + base
+            lanes[p:] -= 1
         offset[:p] = (hi - lo) * (1 + base) / 2
         offset[p:] = (hi - lo) / 2
         return lanes
 
-    gemms = _gemms(x, signed, [span for spans in blocks for span in spans], layer, 0.5, pack)
+    gemms = _gemms(x, w, [span for spans in blocks for span in spans], layer, 0.5, np.float32, pack)
     counts = extra = None
     for spans in blocks:
         for i, (lo, hi) in enumerate(spans):
@@ -636,7 +666,7 @@ def _pixel_dots(x: np.ndarray, w: np.ndarray, layer=None) -> tuple[np.ndarray, n
     np.copyto(weights, w)
     if isinstance(layer, ConvLayer):  # one threshold per (window, output) column
         threshold = np.tile(threshold, layer.out_w)
-    gemms = _gemms(x, weights, spans, layer, shift)
+    gemms = _gemms(x, weights, spans, layer, shift, dtype)
     first = next(gemms)
     if len(spans) == 1:
         return first, threshold.astype(dtype)
@@ -731,7 +761,10 @@ def _binarized(layer, w, golden, crossbar, backend, tie_high):
 
             def summed(counts):  # each segment's counts, added into the golden total as they pass
                 for i, c in enumerate(counts):
-                    np.copyto(total, c) if i == 0 else np.add(total, c, out=total)
+                    if i:
+                        np.add(total, c, out=total)
+                    else:
+                        total[...] = c
                     yield c
 
             crossbar_bits = _fc_bits_crossbar(summed(_segment_counts(golden, w, lengths, layer)), lengths, backend)
@@ -764,7 +797,7 @@ def run_inference(
     While the chains agree the crossbar tensor is the golden one (the same
     object), and each layer runs once for both: the non-binarized first
     layer, any pool after it, and the final scores of a net with no other
-    binarized layer. The first binarized layer's per-segment dots are
+    binarized layer. The first binarized layer's per-segment popcounts are
     computed once too; the crossbar chain senses them, and their sum gives
     the golden bits. A layer whose two outputs are the same object counts 0
     mismatch without a compare; the golden backend carries no crossbar

@@ -7,14 +7,22 @@ Each guarantee a docstring states, and the check in `CHECKS` that proves it:
   count cell of every `CASCADE_SPLITS` split (`cascade_guarantees_hold`);
   the census agrees with a raw pair walk on false positives and false
   negatives apart (`census`).
-* The blocked pixel GEMM is exact (`netio._pixel_matmul`): `pixel_gemm`, at
-  the float32 block width of 514 columns and one column past one and two
-  blocks.
-* The conv band GEMM is exact (`netio._segment_dots`, `_pixel_matmul` on a
-  conv): `conv_gemm`, against an int64 dot per window (`window_dots`) on one,
-  two and three segments.
+* AND fires iff every segment's count exceeds its main reference, OR iff
+  any does (`cascade`): `and_or_definitions`, from those definitions over
+  every count cell of every `CASCADE_SPLITS` split (`and_or_hold`), so a
+  wrong AND/OR bound table fails it.
+* The pixel GEMM is exact (`netio._pixel_dots`): `pixel_gemm`, the exact dot
+  across its float32 bound of 514 columns and one and two centred blocks;
+  `centred_gemm`, the layer's compare on dots of -1, 0 and +1 whose centred
+  sums reach 2^24, at one centred block of 1024 columns and one past it.
+* The packed +-1 lanes are exact (`netio._segment_counts`): `packed_lanes`,
+  at spans of B - 1 and B and at 4095 and 4096, with all-match and
+  all-mismatch lanes and a row left alone in its lane.
+* The conv GEMM is exact (`netio._segment_dots`, `_pixel_matmul` on a conv):
+  `conv_gemm`, against an int64 dot per window (`window_dots`) on one, two
+  and three segments.
 * The conv dataflow equals im2col (`dataflow.run_layer`): `dataflow_dots`,
-  against the band GEMM's signed dot, which `conv_gemm` ties to the windows.
+  against the conv GEMM's signed dot, which `conv_gemm` ties to the windows.
 * The closed-form bus words equal the transaction log
   (`dataflow.streamed_words_per_layer`): `bus_words` (`bus_words_match`).
 
