@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -326,8 +327,8 @@ def test_a_second_identical_call_reuses_the_workspace():
 
     thread = threading.Thread(target=two_calls)
     thread.start()
-    thread.join()
-    assert reports[0] == reports[1]
+    thread.join(timeout=120)
+    assert not thread.is_alive() and reports[0] == reports[1]
     # the first call maps the workspace (the pixel layer's float32 weights
     # alone are 4.5 MiB); the second carves every float temporary from it
     assert peaks[0] > 4 * 2**20
@@ -342,17 +343,24 @@ def test_threads_running_different_nets_at_once_match_sequential_runs():
         _mlpl_batch(300),
     ]
     want = [run_inference(*args).to_dict() for args in runs]
-    got = [[], []]
-    start = threading.Barrier(2)
+    # more threads than cores, two per net, switching often
+    got = {i: [] for i in range(4)}
+    start = threading.Barrier(len(got))
 
     def worker(i):
         start.wait()
-        for _ in range(3):
-            got[i].append(run_inference(*runs[i]).to_dict())
+        for _ in range(2):
+            got[i].append(run_inference(*runs[i % 2]).to_dict())
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert got == [[want[0]] * 3, [want[1]] * 3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {i: [want[i % 2]] * 2 for i in got}
