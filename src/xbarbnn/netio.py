@@ -511,7 +511,7 @@ def _gemms(x, w, spans, layer, shift, dtype, pack=None):
         np.subtract(x, shift, out=xf, dtype=dtype)
         k, s, oh = layer.kernel, layer.stride, layer.out_h
         part = ws.take(w.shape, dtype)
-        rows = ws.take((layer.out_w * len(w), k * layer.input_w * layer.in_channels), dtype)
+        toeplitz = ws.take((layer.out_w * len(w), k * layer.input_w * layer.in_channels), dtype)
     else:
         if x.ndim == 4:  # NHWC conv activations
             x = x.transpose(0, 3, 1, 2)
@@ -522,7 +522,7 @@ def _gemms(x, w, spans, layer, shift, dtype, pack=None):
         if conv:
             part[...] = 0
             part[:, lo:hi] = w[:, lo:hi]
-            operand = _toeplitz(layer, part, rows)
+            operand = _toeplitz(layer, part, toeplitz)
         else:
             operand = w[:, lo:hi]
         if pack is not None:
@@ -571,20 +571,18 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
     while the fan-in is below 2^24."""
     ws = _workspace()
     conv = isinstance(layer, ConvLayer)
+    blocks = _blocks(lengths, _LANE_SPAN)
     if conv:  # +-1 kernels, so that the Toeplitz zeros stay zeros
         w = ws.take(w_bits.shape)
         np.multiply(w_bits, 2, out=w, dtype=np.float32)
         w -= 1
+        n, width = len(w_bits) * layer.out_w, layer.kernel * layer.input_w * layer.in_channels
     else:
-        w = w_bits
-    blocks = _blocks(lengths, _LANE_SPAN)
-    n = len(w_bits) * (layer.out_w if isinstance(layer, ConvLayer) else 1)  # operand rows
+        w, n, width = w_bits, len(w_bits), max(hi - lo for spans in blocks for lo, hi in spans)
     h, p = (n + 1) // 2, n // 2  # lanes; lanes that hold two rows
-    if conv:
-        width = layer.kernel * layer.input_w * layer.in_channels
-    else:
-        width = max(hi - lo for spans in blocks for lo, hi in spans)
     packed, offset = ws.take((h * width,)), ws.take((h,))
+    counts = ws.take((_input_rows(x, layer) * len(w_bits) // n, n))
+    extra = ws.take(counts.shape) if max(map(len, blocks)) > 1 else None
 
     def pack(rows, lo, hi):
         base = 1 << (hi - lo).bit_length()
@@ -601,14 +599,9 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
         return lanes
 
     gemms = _gemms(x, w, [span for spans in blocks for span in spans], layer, 0.5, np.float32, pack)
-    counts = extra = None
     for spans in blocks:
         for i, (lo, hi) in enumerate(spans):
             q = next(gemms)
-            if counts is None:
-                counts = ws.take((len(q), n))
-            if i == 1:
-                extra = extra if extra is not None else ws.take(counts.shape)
             q += offset
             dst = counts if i == 0 else extra
             base = 1 << (hi - lo).bit_length()

@@ -405,13 +405,14 @@ def census() -> bool:
 
 def conv_gemm() -> bool:
     """Per segment on one, two and three segments, for bits and for pixels,
-    and across the pixel float32 bound."""
+    and across the pixel float32 bound. Five output channels, so that an odd
+    count of windows per row leaves one Toeplitz row alone in its lane."""
     rng = np.random.default_rng(3)
     ok = True
     for ch, h, w, k, stride in dict.fromkeys(case[:5] for case in DATAFLOW_CASES):
-        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+        layer = dataflow.ConvLayer(ch, 5, h, w, k, stride)
         x = rng.integers(0, 2, (2, h, w, ch), dtype=np.uint8)
-        kernels = rng.integers(0, 2, (4, layer.fan_in), dtype=np.uint8)
+        kernels = rng.integers(0, 2, (5, layer.fan_in), dtype=np.uint8)
         for rows in CONV_SPLIT_ROWS:
             lengths = crossbar.segment_lengths(layer.fan_in, rows)
             bounds = np.cumsum((0,) + lengths)
@@ -420,7 +421,7 @@ def conv_gemm() -> bool:
                 part[:, lo:hi] = 2 * kernels[:, lo:hi].astype(np.int64) - 1
                 ok &= np.array_equal(dot, window_dots(2 * x.astype(np.int64) - 1, part, layer))
         pixels = rng.integers(0, 256, (2, h, w, ch), dtype=np.uint8)
-        w8 = rng.integers(-128, 128, (4, layer.fan_in), dtype=np.int8)
+        w8 = rng.integers(-128, 128, (5, layer.fan_in), dtype=np.int8)
         ok &= np.array_equal(netio._pixel_matmul(pixels, w8, layer), window_dots(pixels.astype(np.int64), w8, layer))
     for channels, dtype in ((514, np.float32), (515, np.float64)):
         layer = dataflow.ConvLayer(channels, 2, 3, 4, 1, binarized=False)
