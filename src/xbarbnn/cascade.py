@@ -6,9 +6,11 @@ A policy is a bound table plus one threshold (`policy_bounds`): each
 segment's bound starts at its bottom-interval value and rises at each of its
 reference levels, and the policy fires iff the segment bounds sum to at
 least the threshold. One table per policy serves both evaluators:
-`decide_counts` adds the rises with one compare per (segment, level) and is
-the batched path of inference, Monte-Carlo and the census; `decide_batch`
-reads the tables at SA interval indices for the scalar `cascade`.
+`decide_counts` senses each count with one compare per (segment, level)
+into a uint8 interval code and looks the codes up in the tables' bound sums;
+it is the batched path of inference, Monte-Carlo and the census.
+`decide_batch` reads the tables at SA interval indices for the scalar
+`cascade`.
 
 Policies (n the vector size, k the segment count):
 

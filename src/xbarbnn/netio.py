@@ -319,9 +319,10 @@ def _idx_payload(path, magic: int, ndim: int) -> tuple[tuple, np.ndarray]:
     dims = _read_idx_header(blob, path, magic, ndim)
     start = 4 * (1 + ndim)
     need = start + math.prod(dims)
-    if len(blob) != need:
-        what = "ends at" if len(blob) < need else "runs past the declared payload to"
-        raise IdxFormatError(f"{path}: payload {what} byte {len(blob)}, expected {need}")
+    if len(blob) < need:
+        raise IdxFormatError(f"{path}: payload ends at byte {len(blob)}, expected {need}")
+    if len(blob) > need:
+        raise IdxFormatError(f"{path}: {len(blob) - need} bytes past the declared payload, which ends at byte {need}")
     return dims, np.frombuffer(blob, np.uint8, offset=start)
 
 

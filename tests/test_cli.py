@@ -156,7 +156,7 @@ def test_idx_bytes_past_the_declared_payload_are_one_line_and_exit_2(tmp_path, c
             f.write(bytes(junk))
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "runs past the declared payload" in err
+    assert err.count("\n") == 1 and "bytes past the declared payload" in err
 
 
 @pytest.mark.parametrize("network", ["lenet-5", "mlp-s"])
