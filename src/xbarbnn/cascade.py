@@ -161,7 +161,7 @@ def decide_batch(kind: str, intervals: np.ndarray, lengths, refs: ReferenceSet) 
     return total >= threshold
 
 
-def decide_counts(kind: str, counts, lengths, refs: ReferenceSet, empty=np.empty) -> np.ndarray:
+def decide_counts(kind: str, counts, lengths, refs: ReferenceSet, empty=np.empty, out=None) -> np.ndarray:
     """Cascade decision from per-segment column counts: the batched path of
     inference, the census and Monte-Carlo.
 
@@ -170,6 +170,8 @@ def decide_counts(kind: str, counts, lengths, refs: ReferenceSet, empty=np.empty
     before the next is drawn, so they may share one buffer.
     empty: `np.empty`-like maker of the uninitialised accumulators; they
     live only during the call.
+    out: a boolean array in the shape of the counts that receives the bits;
+    made when None.
 
     As a multi-reference SA senses it, each segment's interval index counts
     the reference levels its count exceeds, one compare per (segment, level)
@@ -210,13 +212,13 @@ def decide_counts(kind: str, counts, lengths, refs: ReferenceSet, empty=np.empty
         if index is None:
             index = empty((min(code.size, _LOOKUP_BLOCK),), np.intp)
         if len(groups) == 1:
-            return _lookup(sums >= threshold, code, np.empty(code.shape, np.bool_), index)
+            return _lookup(sums >= threshold, code, np.empty(code.shape, np.bool_) if out is None else out, index)
         if total is None:
             total, part = empty(code.shape, sums.dtype), empty(code.shape, sums.dtype)
             _lookup(sums, code, total, index)
         else:
             total += _lookup(sums, code, part, index)
-    return total >= threshold
+    return np.greater_equal(total, threshold, out=out)
 
 
 # elements per table lookup: the intp index scratch stays small

@@ -26,16 +26,30 @@ Both GEMMs are exact in float32, in any summation order:
   (2^24 / 2^14), and the layer fires iff the centred dot is at least
   -128 sum w (`_pixel_dots`).
 
-Every large float temporary of a pixel or binarized layer (the cast
-activations and weights, the GEMM outputs, the golden count sums and the
-cascade accumulators) is a view into one workspace per thread
-(`_Workspace`), carved with stack discipline: a layer's frame returns its
-carve on exit, so nothing in it outlives the layer, and activations and the
-bits of `_fc_bits_*` are ordinary arrays. The buffer is mapped on first use,
-grows only when a larger live set arrives and is reused across segments,
-layers, chunks and calls for the thread's lifetime; its size is the largest
-layer's live set, which `_CHUNK` bounds for any dataset size. Threads never
-share one, so concurrent calls are independent.
+Every layer of a chunk except the final scores runs on row blocks of its
+images (`_by_rows`): one block per usable core (`os.sched_getaffinity`),
+none below `_MIN_BLOCK_ROWS` images. The calling thread runs one block and a
+module-level pool, started at the first call that needs it, runs the
+others; with one usable core no thread starts. A layer's weight operands do
+not depend on the rows: the caller makes them once, in its own open
+workspace frame (the pixel layer's float32 weights, the conv Toeplitz rows,
+and the packed +-1 lanes, which both chains share), and every block reads
+them without writing. Each block writes its rows of one preallocated
+output, and the caller joins every block before its frame exits, even when
+its own block raises.
+
+Every other large float temporary of a layer (the cast activations, the
+GEMM outputs, the golden count sums and the cascade accumulators) is a view
+into the workspace of the thread that runs the block (`_Workspace`, one per
+thread, kept by the pool's workers across calls), carved with stack
+discipline: a frame returns its carve on exit, so nothing in it outlives the
+layer, and activations and the bits of `_fc_bits_*` are ordinary arrays. A
+buffer is mapped on first use, grows only when a larger live set arrives
+and is reused across segments, layers, chunks and calls for the thread's
+lifetime; its size is the largest live set of a block (plus the shared
+operands in a caller's), which `_CHUNK` bounds for any dataset size. A
+thread writes only its own workspace and its own rows, so concurrent calls
+are independent.
 
 Topology grammar ("-" separated tokens):
     "5x5,6"     conv, 5x5 kernel, 6 output channels
@@ -48,9 +62,10 @@ weight layer whose fan-in is inferred from the previous layer.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
-import functools
 import math
+import os
 import re
 import struct
 import threading
@@ -467,10 +482,58 @@ def _workspace() -> _Workspace:
     return _local.workspace
 
 
-def _input_rows(x: np.ndarray, layer) -> int:
-    """Rows of a weight layer's products: one per image, or per (image,
-    window) of a conv."""
-    return len(x) * (layer.out_h * layer.out_w if isinstance(layer, ConvLayer) else 1)
+# Image rows below which a layer is not cut into more blocks: the hand-off
+# to a worker costs more than a smaller block's GEMMs win.
+_MIN_BLOCK_ROWS = 256
+
+_pool = None  # (pid, executor) of the row-block workers, made on first use
+_pool_lock = threading.Lock()
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _executor(workers: int) -> concurrent.futures.ThreadPoolExecutor:
+    """The module's pool of row-block workers, made with `workers` threads on
+    first use. A process forked after it started holds a copy without its
+    threads, so it makes its own."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(), concurrent.futures.ThreadPoolExecutor(workers, "xbarbnn-rows"))
+        return _pool[1]
+
+
+def _by_rows(block, n: int) -> None:
+    """`block(lo, hi)` over the images 0..n in contiguous blocks, one per
+    usable core and none below `_MIN_BLOCK_ROWS` images. The calling thread
+    runs the first block and the pool the others; with one block no thread
+    starts. Every submitted block has finished when this returns or raises,
+    so a block may read operands carved in the caller's open frame. An error
+    in the caller's block wins over the workers', else the first worker's is
+    raised. A block must not call `_by_rows`: it would wait on the pool it
+    runs in."""
+    count = max(1, min(_cores(), n // _MIN_BLOCK_ROWS))
+    if count == 1:
+        block(0, n)
+        return
+    cuts = [n * b // count for b in range(count + 1)]
+    pool = _executor(count - 1)
+    futures = [pool.submit(block, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        block(cuts[0], cuts[1])
+    finally:
+        concurrent.futures.wait(futures)
+    for f in futures:
+        f.result()
+
+
+def _rows_per_image(layer) -> int:
+    """Rows of a weight layer's products per image: one, or one per window
+    of a conv."""
+    return layer.out_h * layer.out_w if isinstance(layer, ConvLayer) else 1
 
 
 def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -487,49 +550,57 @@ def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gemms(x, w, spans, layer, shift, dtype, pack=None):
+def _operands(w, spans, layer, dtype, pack=None) -> list:
+    """The (N, K) GEMM operand rows of each fan-in span (lo, hi) of `spans`
+    for the weight rows `w` (O, fan-in) of a weight layer: the span's
+    columns of `w` for an FC layer (N = O, K the span); for a conv (`layer`
+    a ConvLayer), the block-Toeplitz rows of the span's kernel columns, zero
+    elsewhere (N = (window, O), K = k * W * C). `pack(rows, lo, hi)` may
+    replace a span's rows by others carved from the workspace. None of them
+    depends on the input rows, so the caller carves them once in its open
+    frame and every row block reads them."""
+    if not isinstance(layer, ConvLayer):
+        return [w[:, lo:hi] if pack is None else pack(w[:, lo:hi], lo, hi) for lo, hi in spans]
+    ws = _workspace()
+    part = ws.take(w.shape, dtype)
+    shape = (layer.out_w * len(w), layer.kernel * layer.input_w * layer.in_channels)
+    scratch = None if pack is None else ws.take(shape, dtype)  # packed away before the next span
+    out = []
+    for lo, hi in spans:
+        part[...] = 0
+        part[:, lo:hi] = w[:, lo:hi]
+        rows = _toeplitz(layer, part, ws.take(shape, dtype) if scratch is None else scratch)
+        out.append(rows if pack is None else pack(rows, lo, hi))
+    return out
+
+
+def _gemms(x, operands, spans, layer, shift, dtype):
     """Generator of one `dtype` GEMM per fan-in span (lo, hi) of `spans`:
     the activations `x` entering a weight layer, cast to x - `shift`, times
-    its weight rows `w` (O, fan-in) restricted to the span. Each is an
-    (M, N) workspace view that the next span overwrites. `pack(rows, lo,
-    hi)` may replace the span's (N, K) operand rows by other rows before
-    the GEMM.
+    the span's (N, K) rows of `operands` (`_operands`). Each is an (M, N)
+    workspace view that the next span overwrites.
 
     An FC layer flattens `x` per image, in the (c, h, w) order of its weight
-    columns, and casts one span at a time: M is the images, N = O, K the
-    span. A conv (`layer` a ConvLayer, `x` NHWC) casts `x` once and, for
-    each output row, multiplies the k input rows that row reads (a strided
-    view, nothing copied) by the block-Toeplitz rows of the span's kernel
-    columns, zero elsewhere: M is (image, output row), N = (window, O),
-    K = k * W * C, so an (M, N) array is the (image, window) rows of the
-    layer, row-major per image. The zeros add exact zeros, so every partial
-    sum of a span is a sum of at most its length of nonzero products, as in
-    the FC product."""
+    columns, and casts one span at a time: M is the images. A conv (`layer`
+    a ConvLayer, `x` NHWC) casts `x` once and, for each output row,
+    multiplies the k input rows that row reads (a strided view, nothing
+    copied) by the span's block-Toeplitz rows: M is (image, output row), so
+    an (M, N) array is the (image, window) rows of the layer, row-major per
+    image. The zeros add exact zeros, so every partial sum of a span is a
+    sum of at most its length of nonzero products, as in the FC product."""
     ws = _workspace()
     conv = isinstance(layer, ConvLayer)
     if conv:
         xf = ws.take(x.shape, dtype)
         np.subtract(x, shift, out=xf, dtype=dtype)
         k, s, oh = layer.kernel, layer.stride, layer.out_h
-        part = ws.take(w.shape, dtype)
-        toeplitz = ws.take((layer.out_w * len(w), k * layer.input_w * layer.in_channels), dtype)
     else:
         if x.ndim == 4:  # NHWC conv activations
             x = x.transpose(0, 3, 1, 2)
         x = x.reshape(len(x), -1)
         xf_flat = ws.take((len(x) * max(hi - lo for lo, hi in spans),), dtype)
-    out = None
-    for lo, hi in spans:
-        if conv:
-            part[...] = 0
-            part[:, lo:hi] = w[:, lo:hi]
-            operand = _toeplitz(layer, part, toeplitz)
-        else:
-            operand = w[:, lo:hi]
-        if pack is not None:
-            operand = pack(operand, lo, hi)
-        if out is None:
-            out = ws.take((len(x) * (oh if conv else 1), len(operand)), dtype)
+    out = ws.take((len(x) * (oh if conv else 1), len(operands[0])), dtype)
+    for (lo, hi), operand in zip(spans, operands):
         if conv:
             by_row = out.reshape(len(x), oh, -1)
             for r in range(oh):
@@ -552,42 +623,27 @@ def _blocks(lengths, width: int) -> list:
     return out
 
 
-def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], layer=None):
-    """Generator of the XNOR popcounts of the bits `x` entering a weight
-    layer against its weight bit rows `w_bits` (O, fan-in), one float32
-    (input rows, O) array per fan-in segment of `lengths`, in order. Each is
-    a workspace view that the next segment overwrites: read it before
-    drawing the next. The caller holds the workspace frame.
-
-    Two GEMM operand rows share one float32 lane: of N rows (`_gemms`),
-    row j and row H + j (H = ceil(N/2)) pack as (2b_j - 1) + B (2b_{H+j} - 1),
-    with B the smallest power of two above the span length m, and the
-    activations cast to b - 1/2. The GEMM then gives r = (d_j + B d_{H+j}) / 2
-    for the signed dots d, and q = r + m(1 + B)/2 = c_j + B c_{H+j} for the
-    popcounts c = (m + d)/2 < B: c_{H+j} = floor(q / B), c_j = q - B c_{H+j}.
-    Every partial sum is a multiple of 1/2 of magnitude at most
-    m(1 + B)/2 < 2^23 for m <= 4095, so the GEMM is exact in any summation
-    order; a longer segment is summed from spans of at most 4095. An odd
-    row count leaves row H - 1 alone in its lane. The counts are exact
-    while the fan-in is below 2^24."""
+def _lanes(w_bits: np.ndarray, lengths: tuple[int, ...], layer=None) -> list:
+    """The packed +-1 GEMM operands of a binarized layer's weight bit rows
+    `w_bits` (O, fan-in), one per fan-in span of the segments `lengths` cut
+    at `_LANE_SPAN` (see `_segment_counts`), carved from the workspace in
+    the caller's open frame. Of a span's N operand rows (`_operands`), row j
+    and row H + j (H = ceil(N/2)) share lane j as (2b_j - 1) + B (2b_{H+j} - 1),
+    B the smallest power of two above the span length; an odd N leaves row
+    H - 1 alone in its lane."""
     ws = _workspace()
     conv = isinstance(layer, ConvLayer)
-    blocks = _blocks(lengths, _LANE_SPAN)
     if conv:  # +-1 kernels, so that the Toeplitz zeros stay zeros
         w = ws.take(w_bits.shape)
         np.multiply(w_bits, 2, out=w, dtype=np.float32)
         w -= 1
-        n, width = len(w_bits) * layer.out_w, layer.kernel * layer.input_w * layer.in_channels
     else:
-        w, n, width = w_bits, len(w_bits), max(hi - lo for spans in blocks for lo, hi in spans)
-    h, p = (n + 1) // 2, n // 2  # lanes; lanes that hold two rows
-    packed, offset = ws.take((h * width,)), ws.take((h,))
-    counts = ws.take((_input_rows(x, layer) * len(w_bits) // n, n))
-    extra = ws.take(counts.shape) if max(map(len, blocks)) > 1 else None
+        w = w_bits
 
     def pack(rows, lo, hi):
+        h, p = (len(rows) + 1) // 2, len(rows) // 2  # lanes; lanes that hold two rows
         base = 1 << (hi - lo).bit_length()
-        lanes = packed[: h * rows.shape[1]].reshape(h, -1)
+        lanes = ws.take((h, rows.shape[1]))
         np.multiply(rows[h:], base, out=lanes[:p], dtype=np.float32)
         np.add(lanes[:p], rows[:p], out=lanes[:p], dtype=np.float32)
         lanes[p:] = rows[p:h]
@@ -595,23 +651,56 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
             lanes *= 2
             lanes[:p] -= 1 + base
             lanes[p:] -= 1
-        offset[:p] = (hi - lo) * (1 + base) / 2
-        offset[p:] = (hi - lo) / 2
         return lanes
 
-    gemms = _gemms(x, w, [span for spans in blocks for span in spans], layer, 0.5, np.float32, pack)
+    spans = [span for spans in _blocks(lengths, _LANE_SPAN) for span in spans]
+    return _operands(w, spans, layer, np.float32, pack)
+
+
+def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], layer=None, lanes=None):
+    """Generator of the XNOR popcounts of the bits `x` entering a weight
+    layer against its weight bit rows `w_bits` (O, fan-in), one (input
+    rows, O) array per fan-in segment of `lengths`, in order, in the
+    narrowest unsigned dtype that holds the longest segment. Each is a
+    workspace view that the next segment overwrites: read it before drawing
+    the next. The caller holds the workspace frame. `lanes` are the layer's
+    packed operands for `lengths` (`_lanes`), which row blocks share; made
+    here when None.
+
+    The GEMM of a span of length m against the lanes, with the activations
+    cast to b - 1/2, gives r = (d_j + B d_{H+j}) / 2 for the signed dots d,
+    and q = r + m(1 + B)/2 = c_j + B c_{H+j} for the popcounts
+    c = (m + d)/2 < B. Every partial sum is a multiple of 1/2 of magnitude
+    at most m(1 + B)/2 < 2^23 for m <= 4095, so the GEMM is exact in any
+    summation order; a longer segment is summed from spans of at most 4095.
+    q / B = c_{H+j} + c_j / B is exact too (B is a power of two), so its
+    integer part, which the cast to the unsigned dtype keeps, is c_{H+j},
+    and B times the rest is c_j. The counts are exact while the fan-in is
+    below 2^24."""
+    ws = _workspace()
+    blocks = _blocks(lengths, _LANE_SPAN)
+    if lanes is None:
+        lanes = _lanes(w_bits, lengths, layer)
+    n = len(w_bits) * (layer.out_w if isinstance(layer, ConvLayer) else 1)  # operand rows
+    h, p = (n + 1) // 2, n // 2
+    dtype = np.min_scalar_type(max(lengths))
+    counts = ws.take((len(x) * _rows_per_image(layer) * len(w_bits) // n, n), dtype)
+    extra = ws.take(counts.shape, dtype) if max(map(len, blocks)) > 1 else None
+    gemms = _gemms(x, lanes, [span for spans in blocks for span in spans], layer, 0.5, np.float32)
     for spans in blocks:
         for i, (lo, hi) in enumerate(spans):
             q = next(gemms)
-            q += offset
-            dst = counts if i == 0 else extra
             base = 1 << (hi - lo).bit_length()
-            high, low = dst[:, h:], dst[:, :p]
-            np.multiply(q[:, :p], 1 / base, out=high)
-            np.floor(high, out=high)
-            np.multiply(high, -base, out=low)
-            low += q[:, :p]
-            dst[:, p:h] = q[:, p:]
+            q[:, :p] += (hi - lo) * (1 + base) / 2
+            q[:, p:] += (hi - lo) / 2
+            dst = counts if i == 0 else extra
+            pair, high = q[:, :p], dst[:, h:]
+            pair *= 1 / base
+            np.copyto(high, pair, casting="unsafe")  # truncates: c_{H+j}
+            pair -= high
+            pair *= base
+            np.copyto(dst[:, :p], pair, casting="unsafe")
+            np.copyto(dst[:, p:h], q[:, p:], casting="unsafe")
             if i:
                 counts += extra
         yield counts.reshape(-1, len(w_bits))
@@ -623,7 +712,7 @@ def _segment_dots(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], l
     rows, O) array per fan-in segment of `lengths`: 2c - m from the
     popcounts c of `_segment_counts`."""
     with _workspace().frame():
-        return [2 * c - m for c, m in zip(_segment_counts(x, w_bits, lengths, layer), lengths)]
+        return [2 * c.astype(np.float32) - m for c, m in zip(_segment_counts(x, w_bits, lengths, layer), lengths)]
 
 
 def _signed_matmul(x: np.ndarray, w_bits: np.ndarray, layer=None) -> np.ndarray:
@@ -632,13 +721,35 @@ def _signed_matmul(x: np.ndarray, w_bits: np.ndarray, layer=None) -> np.ndarray:
     return dot.astype(np.int64)
 
 
-def _pixel_dots(x: np.ndarray, w: np.ndarray, layer=None) -> tuple[np.ndarray, np.ndarray]:
+def _pixel_operands(image_dtype, w: np.ndarray, layer=None) -> tuple:
+    """(GEMM dtype, shift, spans, operand rows per span, threshold) of the
+    non-binarized layer with int8 weight rows `w` on images of
+    `image_dtype`, its weights cast once into the workspace in the caller's
+    open frame (see `_pixel_dots`)."""
+    if image_dtype == np.uint8:
+        dtype, shift, threshold = np.float32, 128.0, -128 * w.sum(axis=1, dtype=np.int64)
+        spans = _blocks((w.shape[1],), max(1, _FLOAT32_EXACT // (128 * 128)))[0]
+    else:
+        dtype, shift, threshold = np.float64, 0.0, np.zeros(len(w))
+        spans = [(0, w.shape[1])]
+    weights = _workspace().take(w.shape, dtype)
+    np.copyto(weights, w)
+    if isinstance(layer, ConvLayer):  # one threshold per (window, output) column
+        threshold = np.tile(threshold, layer.out_w)
+    if len(spans) == 1:
+        threshold = threshold.astype(dtype)
+    return dtype, shift, spans, _operands(weights, spans, layer, dtype), threshold
+
+
+def _pixel_dots(x: np.ndarray, w: np.ndarray, layer=None, operands=None) -> tuple[np.ndarray, np.ndarray]:
     """Products of the pixels `x` entering a weight layer with its int8
     weight rows `w`, one row per input row (per image, or per (image,
     window) of a conv on NHWC pixels), as a workspace view `dots` and a
     per-column `threshold` with dot product = dots - threshold; the layer
     fires where dots >= threshold. The dots are the (M, N) GEMM outputs of
     `_gemms`: for a conv, N holds every (window, output) of an output row.
+    `operands` are the layer's (`_pixel_operands`), which row blocks share;
+    made here when None.
 
     uint8 pixels are centred: dots = sum (x - 128) w and threshold =
     -128 sum w. Each product is then at most 128 * 128 = 2^14 in magnitude,
@@ -649,22 +760,14 @@ def _pixel_dots(x: np.ndarray, w: np.ndarray, layer=None) -> tuple[np.ndarray, n
     below 2^53. Other image dtypes have no such bound: one float64 GEMM,
     threshold 0.
     """
-    ws = _workspace()
-    if x.dtype == np.uint8:
-        dtype, shift, threshold = np.float32, 128.0, -128 * w.sum(axis=1, dtype=np.int64)
-        spans = _blocks((w.shape[1],), max(1, _FLOAT32_EXACT // (128 * 128)))[0]
-    else:
-        dtype, shift, threshold = np.float64, 0.0, np.zeros(len(w))
-        spans = [(0, w.shape[1])]
-    weights = ws.take(w.shape, dtype)
-    np.copyto(weights, w)
-    if isinstance(layer, ConvLayer):  # one threshold per (window, output) column
-        threshold = np.tile(threshold, layer.out_w)
-    gemms = _gemms(x, weights, spans, layer, shift, dtype)
+    if operands is None:
+        operands = _pixel_operands(x.dtype, w, layer)
+    dtype, shift, spans, rows, threshold = operands
+    gemms = _gemms(x, rows, spans, layer, shift, dtype)
     first = next(gemms)
     if len(spans) == 1:
-        return first, threshold.astype(dtype)
-    dots = ws.take(first.shape, np.float64)
+        return first, threshold
+    dots = _workspace().take(first.shape, np.float64)
     dots[...] = first
     for part in gemms:
         dots += part
@@ -673,10 +776,20 @@ def _pixel_dots(x: np.ndarray, w: np.ndarray, layer=None) -> tuple[np.ndarray, n
 
 def _pixel_bits(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
     """Activation bits of the non-binarized layer, uint8 (input rows, O):
-    1 where the exact dot product is at least 0."""
+    1 where the exact dot product is at least 0. The weight operands are
+    made once; each row block (`_by_rows`) writes its rows of the bits."""
+    per = _rows_per_image(layer)
+    bits = np.empty((len(x) * per, len(w)), np.uint8)
+
+    def block(lo, hi):
+        with _workspace().frame():
+            dots, threshold = _pixel_dots(x[lo:hi], w, layer, operands)
+            np.greater_equal(dots, threshold, out=bits[lo * per : hi * per].view(np.bool_).reshape(dots.shape))
+
     with _workspace().frame():
-        dots, threshold = _pixel_dots(x, w, layer)
-        return np.greater_equal(dots, threshold).view(np.uint8).reshape(-1, len(w))
+        operands = _pixel_operands(x.dtype, w, layer)
+        _by_rows(block, len(x))
+    return bits
 
 
 def _pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
@@ -691,35 +804,64 @@ def _pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
         return np.subtract(dots, threshold, dtype=np.float32 if exact32 else np.float64).reshape(-1, len(w))
 
 
-def _fc_bits_golden(counts: np.ndarray, fan_in: int, tie_high: bool) -> np.ndarray:
+def _fc_bits_golden(counts: np.ndarray, fan_in: int, tie_high: bool, out=None) -> np.ndarray:
     """Exact sign activation of a binary layer from its XNOR popcounts over
-    the whole fan-in: 1 where they are a majority (at least half with
-    `tie_high`)."""
-    return (counts >= fan_in / 2 if tie_high else counts > fan_in / 2).view(np.uint8)
+    the whole fan-in, of any dtype holding integers: 1 where they are a
+    majority, more than fan_in / 2 (at least half with `tie_high`). Written
+    into the uint8 `out` when given."""
+    out = None if out is None else out.view(np.bool_)
+    if tie_high:
+        return np.greater_equal(counts, (fan_in + 1) // 2, out=out).view(np.uint8)
+    return np.greater(counts, fan_in // 2, out=out).view(np.uint8)
 
 
-def _fc_bits_crossbar(counts, lengths: tuple[int, ...], backend: CrossbarBackend) -> np.ndarray:
+def _fc_bits_crossbar(counts, lengths: tuple[int, ...], backend: CrossbarBackend, out=None) -> np.ndarray:
     """Activation bits of a binary layer through the crossbar model, in the
     shape of its counts, from the XNOR popcounts of each segment of its
     fan-in split `lengths` on the backend's arrays (an iterable, drawn in
     order; see `_segment_counts`). One segment is sensed against its main
     reference; several pass through `cascade.decide_counts`, whose
-    accumulators are carved from the workspace."""
+    accumulators are carved from the workspace. Written into the uint8
+    `out` when given."""
+    out = None if out is None else out.view(np.bool_)
     with _workspace().frame() as ws:
         if len(lengths) == 1:
-            bits = next(iter(counts)) > backend.refs.for_segment(lengths[0]).main
+            bits = np.greater(next(iter(counts)), backend.refs.for_segment(lengths[0]).main, out=out)
         else:
-            bits = _cascade.decide_counts(backend.policy_kind, counts, lengths, backend.refs, ws.take)
+            bits = _cascade.decide_counts(backend.policy_kind, counts, lengths, backend.refs, ws.take, out)
     return bits.view(np.uint8)
 
 
-def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
+def _pool_or(x: np.ndarray, size: int, out=None) -> np.ndarray:
     """Max over non-overlapping size x size windows of NHWC (B, H, W, C),
-    ragged edges dropped: the OR of bits, the max of pixels. Taken over
-    strided slices, first the rows, then the columns."""
-    h, w = x.shape[1] - x.shape[1] % size, x.shape[2] - x.shape[2] % size
-    rows = functools.reduce(np.maximum, [x[:, i:h:size] for i in range(size)])
-    return functools.reduce(np.maximum, [rows[:, :, j:w:size] for j in range(size)])
+    ragged edges dropped: the OR of bits, the max of pixels, into `out`
+    (made when None). Taken in place over strided slices: first the rows
+    into one scratch array, then its columns into `out`. (The rows go first
+    because their slices keep whole W x C rows contiguous.)"""
+    oh, ow = x.shape[1] // size, x.shape[2] // size
+    if out is None:
+        out = np.empty((len(x), oh, ow, x.shape[3]), x.dtype)
+    rows = np.empty((len(x), oh, ow * size, x.shape[3]), x.dtype)
+    _max_into(rows, [x[:, i : oh * size : size, : ow * size] for i in range(size)])
+    _max_into(out, [rows[:, :, j::size] for j in range(size)])
+    return out
+
+
+def _max_into(out: np.ndarray, parts: list) -> None:
+    """`out` = the elementwise max of the arrays `parts`, with no temporary."""
+    if len(parts) == 1:
+        np.copyto(out, parts[0])
+        return
+    np.maximum(parts[0], parts[1], out=out)
+    for part in parts[2:]:
+        np.maximum(out, part, out=out)
+
+
+def _pooled(x: np.ndarray, size: int) -> np.ndarray:
+    """`_pool_or` of NHWC `x`, each row block into its rows of one output."""
+    out = np.empty((len(x), x.shape[1] // size, x.shape[2] // size, x.shape[3]), x.dtype)
+    _by_rows(lambda lo, hi: _pool_or(x[lo:hi], size, out[lo:hi]), len(x))
+    return out
 
 
 def _activation(layer, bits: np.ndarray, batch: int) -> np.ndarray:
@@ -742,33 +884,57 @@ def _each(f, golden, crossbar):
 
 def _binarized(layer, w, golden, crossbar, backend, tie_high):
     """Both chains' activations of a binarized layer that is not the last.
-    While the chains share their input, each segment's popcounts are
-    computed once: the crossbar chain senses them, and their sum over the
-    segments gives the golden bits. Otherwise the golden chain's popcounts
-    over the whole fan-in are computed and thresholded before the crossbar
-    chain's segments, so the workspace holds one chain's counts at a time."""
-    batch, n = len(golden), layer.fan_in
+    The layer's lanes (`_lanes`) over the crossbar split, or over the whole
+    fan-in for the golden backend, are packed once for both chains and every
+    row block. Each distinct input's per-segment popcounts are computed
+    once per block: their sum over the segments gives the golden bits, and
+    the crossbar chain senses them. While the chains share their input,
+    that is one pass for both; otherwise the golden chain's pass ends before
+    the crossbar chain's starts, so the workspace holds one chain's counts
+    at a time."""
+    n, per = layer.fan_in, _rows_per_image(layer)
     lengths = segment_lengths(n, backend.config.rows) if crossbar is not None else (n,)
-    with _workspace().frame() as ws:
-        if crossbar is golden:
-            total = ws.take((_input_rows(golden, layer), len(w)))
+    golden_bits = np.empty((len(golden) * per, len(w)), np.uint8)
+    crossbar_bits = None if crossbar is None else np.empty_like(golden_bits)
+
+    def block(lo, hi):
+        rows = slice(lo * per, hi * per)
+        with _workspace().frame() as ws:
+            # the golden count sums, in the narrowest unsigned type that holds n
+            total = ws.take(golden_bits[rows].shape, np.min_scalar_type(n)) if len(lengths) > 1 else None
 
             def summed(counts):  # each segment's counts, added into the golden total as they pass
+                nonlocal total
                 for i, c in enumerate(counts):
-                    if i:
+                    if total is None:  # one segment: its counts are the total
+                        total = c
+                    elif i:
                         np.add(total, c, out=total)
                     else:
-                        total[...] = c
+                        np.copyto(total, c)
                     yield c
 
-            crossbar_bits = _fc_bits_crossbar(summed(_segment_counts(golden, w, lengths, layer)), lengths, backend)
-            golden_bits = _fc_bits_golden(total, n, tie_high)
-        else:
-            golden_bits = _fc_bits_golden(next(_segment_counts(golden, w, (n,), layer)), n, tie_high)
-            if crossbar is None:
-                return _activation(layer, golden_bits, batch), None
-            crossbar_bits = _fc_bits_crossbar(_segment_counts(crossbar, w, lengths, layer), lengths, backend)
-    return _activation(layer, golden_bits, batch), _activation(layer, crossbar_bits, batch)
+            # each store below keeps the returned bits: a no-op when they were written in place
+            counts = summed(_segment_counts(golden[lo:hi], w, lengths, layer, lanes))
+            if crossbar is golden:
+                out = crossbar_bits[rows]
+                np.copyto(out, _fc_bits_crossbar(counts, lengths, backend, out))
+            else:
+                for _ in counts:
+                    pass
+            out = golden_bits[rows]
+            np.copyto(out, _fc_bits_golden(total, n, tie_high, out))
+        if crossbar is not None and crossbar is not golden:
+            with _workspace().frame():
+                counts = _segment_counts(crossbar[lo:hi], w, lengths, layer, lanes)
+                out = crossbar_bits[rows]
+                np.copyto(out, _fc_bits_crossbar(counts, lengths, backend, out))
+
+    with _workspace().frame():
+        lanes = _lanes(w, lengths, layer)
+        _by_rows(block, len(golden))
+    crossbar_act = None if crossbar is None else _activation(layer, crossbar_bits, len(golden))
+    return _activation(layer, golden_bits, len(golden)), crossbar_act
 
 
 # Images per pass through the chains: bounds peak memory for any dataset size.
@@ -821,7 +987,7 @@ def run_inference(
         i = 0  # weight layer index
         for layer in net.layers:
             if isinstance(layer, PoolLayer):
-                golden, crossbar = _each(lambda x: _pool_or(x, layer.size), golden, crossbar)
+                golden, crossbar = _each(lambda x: _pooled(x, layer.size), golden, crossbar)
                 continue
             w = weights.arrays[i].reshape(layer.weight_shape[0], -1)
             if not layer.binarized:

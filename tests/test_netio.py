@@ -1,5 +1,7 @@
+import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -364,3 +366,102 @@ def test_threads_running_different_nets_at_once_match_sequential_runs():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {i: [want[i % 2]] * 2 for i in got}
+
+
+def _blocked(monkeypatch, blocks):
+    """Every layer of every chunk runs on `blocks` row blocks, whatever the
+    cores and the chunk size."""
+    monkeypatch.setattr(netio, "_cores", lambda: blocks)
+    monkeypatch.setattr(netio, "_MIN_BLOCK_ROWS", 1)
+
+
+def _run_1537(name, backend, tie_high):
+    """1537 images: a full chunk and a partial one of 513, neither a multiple
+    of 2 or 3."""
+    net = named_network(name)
+    rng = np.random.default_rng(9)
+    images = rng.integers(0, 256, (1537, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, 1537, dtype=np.uint8)
+    return run_inference(net, WeightContainer.random(net, 10), images, labels, backend, tie_high).to_dict()
+
+
+@pytest.mark.parametrize("tie_high", [False, True], ids=["tie-low", "tie-high"])
+@pytest.mark.parametrize("kind", ["golden", *POLICY_KINDS])
+@pytest.mark.parametrize("name", ["lenet-5", "mlp-l"])
+def test_report_does_not_depend_on_the_row_blocks(monkeypatch, name, kind, tie_high):
+    # 128-row arrays split every binarized fan-in, so the chains diverge
+    backend = kind if kind == "golden" else CrossbarBackend(CrossbarConfig(128, 128), ReferenceSet(128, 4, 3), kind)
+    rows = set()  # images per block
+    real = netio._by_rows
+
+    def recording(block, n):
+        def sized(lo, hi):
+            rows.add(hi - lo)
+            block(lo, hi)
+
+        real(sized, n)
+
+    monkeypatch.setattr(netio, "_by_rows", recording)
+    _blocked(monkeypatch, 1)
+    want = _run_1537(name, backend, tie_high)
+    assert rows == {1024, 513}
+    for blocks, sizes in [(2, {512, 256, 257}), (3, {341, 342, 171})]:
+        _blocked(monkeypatch, blocks)
+        rows.clear()
+        assert _run_1537(name, backend, tie_high) == want
+        assert rows == sizes
+    if kind != "golden":
+        assert any(m["mismatch"] > 0 for m in want["layer_mismatch"])
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_an_error_in_one_block_propagates_after_every_block_has_finished(monkeypatch, where):
+    args = _mlpl_batch(600)
+    _blocked(monkeypatch, 1)
+    want = run_inference(*args).to_dict()
+    _blocked(monkeypatch, 3)
+    finished, lock, raised = [], threading.Lock(), []
+    real = netio._pixel_dots
+
+    def pixel_dots(*a):  # one block of the pixel layer fails, at once
+        with lock:
+            fail = not raised and (threading.current_thread() is threading.main_thread()) == (where == "caller")
+            if fail:
+                raised.append(True)
+        if fail:
+            raise RuntimeError("planted")
+        time.sleep(0.2)
+        finished.append(True)
+        return real(*a)
+
+    monkeypatch.setattr(netio, "_pixel_dots", pixel_dots)
+    with pytest.raises(RuntimeError, match="planted"):
+        run_inference(*args)
+    # both other blocks ran to the end before the error left run_inference
+    assert finished == [True, True]
+    monkeypatch.setattr(netio, "_pixel_dots", real)
+    assert run_inference(*args).to_dict() == want
+
+
+def test_a_child_forked_after_the_pool_started_makes_its_own(monkeypatch):
+    args = _mlpl_batch(600)
+    _blocked(monkeypatch, 2)
+    want = run_inference(*args).to_dict()
+    assert netio._pool is not None  # the parent's workers exist
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send(run_inference(*args).to_dict())
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        got = receive.recv() if receive.poll(120) else None
+    finally:
+        proc.join(5)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert got == want
+    assert proc.exitcode == 0
