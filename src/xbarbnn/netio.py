@@ -27,16 +27,18 @@ Both GEMMs are exact in float32, in any summation order:
   -128 sum w (`_pixel_dots`).
 
 Every layer of a chunk except the final scores runs on row blocks of its
-images (`_by_rows`): one block per usable core (`os.sched_getaffinity`),
-none below `_MIN_BLOCK_ROWS` images. The calling thread runs one block and a
-module-level pool, started at the first call that needs it, runs the
-others; with one usable core no thread starts. A layer's weight operands do
-not depend on the rows: the caller makes them once, in its own open
-workspace frame (the pixel layer's float32 weights, the conv Toeplitz rows,
-and the packed +-1 lanes, which both chains share), and every block reads
-them without writing. Each block writes its rows of one preallocated
-output, and the caller joins every block before its frame exits, even when
-its own block raises.
+images (`_by_rows`): the usable cores (`os.sched_getaffinity`) over the
+threads each BLAS call uses (`_blas_threads`, every core when nothing pins
+them), and none below `_MIN_BLOCK_ROWS` images. With one BLAS thread a
+block runs on each core; with a BLAS thread on every core one block runs.
+The calling thread runs one block and a module-level pool, started at the
+first call that needs it, runs the others; with one block no thread
+starts. A layer's weight operands do not depend on the rows: the caller
+makes them once, in its own open workspace frame (the pixel layer's float32
+weights, the conv Toeplitz rows, and the packed +-1 lanes, which both
+chains share), and every block reads them without writing. Each block
+writes its rows of one preallocated output, and the caller joins every
+block before its frame exits, even when its own block raises.
 
 Every other large float temporary of a layer (the cast activations, the
 GEMM outputs, the golden count sums and the cascade accumulators) is a view
@@ -482,11 +484,13 @@ def _workspace() -> _Workspace:
     return _local.workspace
 
 
-# Image rows below which a layer is not cut into more blocks: the hand-off
-# to a worker costs more than a smaller block's GEMMs win.
+# Image rows below which a layer is not cut into more blocks. On a 2-core
+# x86_64 VM with one BLAS thread, two blocks of 128 images made a crossbar
+# call of 256 images 7% slower on mlp-l and 4% on lenet-5 than one block;
+# two of 256 made a 512-image call 1.30x and 1.22x faster.
 _MIN_BLOCK_ROWS = 256
 
-_pool = None  # (pid, executor) of the row-block workers, made on first use
+_pool = None  # (pid, workers, executor) of the row-block workers, made on first use
 _pool_lock = threading.Lock()
 
 
@@ -495,27 +499,42 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _blas_threads() -> int:
+    """Threads one BLAS call may use, as OpenBLAS (numpy's BLAS) reads them
+    from the environment when it loads: OPENBLAS_NUM_THREADS, else
+    GOTO_NUM_THREADS, else OMP_NUM_THREADS, else one per usable core."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _cores()
+
+
 def _executor(workers: int) -> concurrent.futures.ThreadPoolExecutor:
-    """The module's pool of row-block workers, made with `workers` threads on
-    first use. A process forked after it started holds a copy without its
-    threads, so it makes its own."""
+    """The module's pool of row-block workers, with at least `workers`
+    threads: made on first use, and made anew when a call needs more than
+    it has. The pool it replaces is dropped, not shut down, as another
+    thread may still submit to it; its idle threads end when it is
+    collected. A process forked after the pool started holds a copy without
+    its threads, so it makes its own."""
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            _pool = (os.getpid(), concurrent.futures.ThreadPoolExecutor(workers, "xbarbnn-rows"))
-        return _pool[1]
+        if _pool is None or _pool[0] != os.getpid() or _pool[1] < workers:
+            _pool = (os.getpid(), workers, concurrent.futures.ThreadPoolExecutor(workers, "xbarbnn-rows"))
+        return _pool[2]
 
 
 def _by_rows(block, n: int) -> None:
     """`block(lo, hi)` over the images 0..n in contiguous blocks, one per
-    usable core and none below `_MIN_BLOCK_ROWS` images. The calling thread
-    runs the first block and the pool the others; with one block no thread
-    starts. Every submitted block has finished when this returns or raises,
-    so a block may read operands carved in the caller's open frame. An error
-    in the caller's block wins over the workers', else the first worker's is
-    raised. A block must not call `_by_rows`: it would wait on the pool it
-    runs in."""
-    count = max(1, min(_cores(), n // _MIN_BLOCK_ROWS))
+    usable core that BLAS leaves free (cores // `_blas_threads`, so blocks
+    times BLAS threads stay within the cores) and none below
+    `_MIN_BLOCK_ROWS` images. The calling thread runs the first block and
+    the pool the others; with one block no thread starts. Every submitted
+    block has finished when this returns or raises, so a block may read
+    operands carved in the caller's open frame. An error in the caller's
+    block wins over the workers', else the first worker's is raised. A
+    block must not call `_by_rows`: it would wait on the pool it runs in."""
+    count = max(1, min(_cores() // _blas_threads(), n // _MIN_BLOCK_ROWS))
     if count == 1:
         block(0, n)
         return
@@ -832,21 +851,25 @@ def _fc_bits_crossbar(counts, lengths: tuple[int, ...], backend: CrossbarBackend
     return bits.view(np.uint8)
 
 
-def _pool_or(x: np.ndarray, size: int, out=None) -> np.ndarray:
+def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
     """Max over non-overlapping size x size windows of NHWC (B, H, W, C),
-    ragged edges dropped: the OR of bits, the max of pixels, into `out`
-    (made when None). Taken in place over strided slices: first the rows
-    into one scratch array, then its columns into `out`. (The rows go first
-    because their slices keep whole W x C rows contiguous.)"""
+    ragged edges dropped: the OR of bits, the max of pixels. Each row block
+    (`_by_rows`) takes its maxima in place over strided slices: first the
+    rows into one scratch array, then its columns into its rows of the
+    output. (The rows go first because their slices keep whole W x C rows
+    contiguous.)"""
     oh, ow = x.shape[1] // size, x.shape[2] // size
-    if out is None:
-        out = np.empty((len(x), oh, ow, x.shape[3]), x.dtype)
-    # not a workspace carve: a frame opened here would map the thread's
-    # workspace while the previous layer's bits are still alive (a first
-    # lenet-5 batch then peaked at 21.0 MiB instead of 20.1)
-    rows = np.empty((len(x), oh, ow * size, x.shape[3]), x.dtype)
-    _max_into(rows, [x[:, i : oh * size : size, : ow * size] for i in range(size)])
-    _max_into(out, [rows[:, :, j::size] for j in range(size)])
+    out = np.empty((len(x), oh, ow, x.shape[3]), x.dtype)
+
+    def block(lo, hi):
+        # not a workspace carve: a frame opened here would map the thread's
+        # workspace while the previous layer's bits are still alive (a first
+        # lenet-5 batch then peaked at 21.0 MiB instead of 20.1)
+        rows = np.empty((hi - lo, oh, ow * size, x.shape[3]), x.dtype)
+        _max_into(rows, [x[lo:hi, i : oh * size : size, : ow * size] for i in range(size)])
+        _max_into(out[lo:hi], [rows[:, :, j::size] for j in range(size)])
+
+    _by_rows(block, len(x))
     return out
 
 
@@ -858,13 +881,6 @@ def _max_into(out: np.ndarray, parts: list) -> None:
     np.maximum(parts[0], parts[1], out=out)
     for part in parts[2:]:
         np.maximum(out, part, out=out)
-
-
-def _pooled(x: np.ndarray, size: int) -> np.ndarray:
-    """`_pool_or` of NHWC `x`, each row block into its rows of one output."""
-    out = np.empty((len(x), x.shape[1] // size, x.shape[2] // size, x.shape[3]), x.dtype)
-    _by_rows(lambda lo, hi: _pool_or(x[lo:hi], size, out[lo:hi]), len(x))
-    return out
 
 
 def _activation(layer, bits: np.ndarray, batch: int) -> np.ndarray:
@@ -990,7 +1006,7 @@ def run_inference(
         i = 0  # weight layer index
         for layer in net.layers:
             if isinstance(layer, PoolLayer):
-                golden, crossbar = _each(lambda x: _pooled(x, layer.size), golden, crossbar)
+                golden, crossbar = _each(lambda x: _pool_or(x, layer.size), golden, crossbar)
                 continue
             w = weights.arrays[i].reshape(layer.weight_shape[0], -1)
             if not layer.binarized:

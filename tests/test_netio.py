@@ -370,8 +370,9 @@ def test_threads_running_different_nets_at_once_match_sequential_runs():
 
 def _blocked(monkeypatch, blocks):
     """Every layer of every chunk runs on `blocks` row blocks, whatever the
-    cores and the chunk size."""
+    cores, the BLAS threads and the chunk size."""
     monkeypatch.setattr(netio, "_cores", lambda: blocks)
+    monkeypatch.setattr(netio, "_blas_threads", lambda: 1)
     monkeypatch.setattr(netio, "_MIN_BLOCK_ROWS", 1)
 
 
@@ -465,3 +466,43 @@ def test_a_child_forked_after_the_pool_started_makes_its_own(monkeypatch):
             proc.join()
     assert got == want
     assert proc.exitcode == 0
+
+
+@pytest.mark.parametrize("first_cores", [4, 2], ids=["same-cores", "cores-grew"])
+def test_a_call_gets_a_worker_for_every_block_whatever_the_first_call_was(monkeypatch, first_cores):
+    monkeypatch.setattr(netio, "_pool", None)
+    monkeypatch.setattr(netio, "_blas_threads", lambda: 1)
+    cores = [first_cores]
+    monkeypatch.setattr(netio, "_cores", lambda: cores[0])
+    netio._by_rows(lambda lo, hi: None, 600)  # two blocks: one worker would do
+    cores[0] = 4
+    threads, start = set(), threading.Barrier(4, timeout=30)
+
+    def block(lo, hi):  # waits until all four blocks run at once
+        threads.add(threading.current_thread())
+        start.wait()
+
+    netio._by_rows(block, 1024)
+    assert len(threads) == 4
+
+
+@pytest.mark.parametrize(
+    "env, cores, blocks",
+    [({}, 4, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4), ({"OMP_NUM_THREADS": "2"}, 4, 2),
+     ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2), ({"OPENBLAS_NUM_THREADS": "8"}, 4, 1)],
+)
+def test_blocks_leave_the_cores_that_blas_threads_use(monkeypatch, env, cores, blocks):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(netio, "_cores", lambda: cores)
+    sizes = []
+    lock = threading.Lock()
+
+    def block(lo, hi):
+        with lock:
+            sizes.append(hi - lo)
+
+    netio._by_rows(block, 1024)
+    assert sorted(sizes) == [1024 // blocks] * blocks
