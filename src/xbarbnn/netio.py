@@ -9,9 +9,12 @@ diverge at its decisions.
 Conv activations are NHWC (batch, height, width, channels) from the images
 to the first FC layer, which flattens them in the (c, h, w) order of its
 weight columns. A conv layer is one GEMM per output row and fan-in span, and
-no window is copied: the k input rows an output row reads (a strided view
-of the cast activations) times block-Toeplitz weight rows (each window's
-kernel in its column block, exact zeros elsewhere).
+no window is copied: the k input rows an output row reads, cast alone,
+times block-Toeplitz weight rows (each window's kernel in its column block,
+exact zeros elsewhere). A row's (images, window x output) GEMM output is
+compared or decoded into that row of the layer's output before the next
+row's GEMM overwrites it, so no block holds a whole conv GEMM output; an FC
+layer is the one-row case.
 
 Both GEMMs are exact in float32, in any summation order:
 
@@ -40,18 +43,19 @@ chains share), and every block reads them without writing. Each block
 writes its rows of one preallocated output, and the caller joins every
 block before its frame exits, even when its own block raises.
 
-Every other large float temporary of a layer (the cast activations, the
-GEMM outputs, the golden count sums and the cascade accumulators) is a view
-into the workspace of the thread that runs the block (`_Workspace`, one per
-thread, kept by the pool's workers across calls), carved with stack
-discipline: a frame returns its carve on exit, so nothing in it outlives the
-layer, and activations and the bits of `_fc_bits_*` are ordinary arrays. A
-buffer is mapped on first use, grows only when a larger live set arrives
-and is reused across segments, layers, chunks and calls for the thread's
-lifetime; its size is the largest live set of a block (plus the shared
-operands in a caller's), which `_CHUNK` bounds for any dataset size. A
-thread writes only its own workspace and its own rows, so concurrent calls
-are independent.
+Every other large temporary of a layer (an output row's cast input rows
+and GEMM output, the popcounts, the golden count sums and the cascade
+accumulators) is a view into the workspace of the thread that runs the
+block (`_Workspace`, one per thread, kept by the pool's workers across
+calls), carved with stack discipline: a frame returns its carve on exit, so
+nothing in it outlives the layer, and activations and the bits of
+`_fc_bits_*` are ordinary arrays. A buffer is mapped on first use, grows
+only when a larger live set arrives and is reused across segments, layers,
+chunks and calls for the thread's lifetime; its size is the largest live
+set of a block (plus the shared operands in a caller's), which `_CHUNK` and
+the one-row-at-a-time conv GEMMs bound for any dataset size. A thread
+writes only its own workspace and its own rows, so concurrent calls are
+independent.
 
 Topology grammar ("-" separated tokens):
     "5x5,6"     conv, 5x5 kernel, 6 output channels
@@ -549,6 +553,11 @@ def _by_rows(block, n: int) -> None:
         f.result()
 
 
+def _out_rows(layer) -> int:
+    """Output rows of a weight layer per image: a conv's, or one."""
+    return layer.out_h if isinstance(layer, ConvLayer) else 1
+
+
 def _rows_per_image(layer) -> int:
     """Rows of a weight layer's products per image: one, or one per window
     of a conv."""
@@ -593,42 +602,45 @@ def _operands(w, spans, layer, dtype, pack=None) -> list:
     return out
 
 
-def _gemms(x, operands, spans, layer, shift, dtype):
-    """Generator of one `dtype` GEMM per fan-in span (lo, hi) of `spans`:
-    the activations `x` entering a weight layer, cast to x - `shift`, times
-    the span's (N, K) rows of `operands` (`_operands`). Each is an (M, N)
-    workspace view that the next span overwrites.
+def _gemms(x, operands, blocks, layer, shift, dtype):
+    """Generator of the `dtype` GEMMs of the activations `x` entering a
+    weight layer, cast to x - `shift`, against the (N, K) operand rows
+    (`_operands`) of each fan-in span of `blocks` (lists of spans, as
+    `_blocks` gives them): for each list, each output row and each span of
+    the list, in that order, one (images, N) workspace view that the next
+    overwrites.
 
     An FC layer flattens `x` per image, in the (c, h, w) order of its weight
-    columns, and casts one span at a time: M is the images. A conv (`layer`
-    a ConvLayer, `x` NHWC) casts `x` once and, for each output row,
-    multiplies the k input rows that row reads (a strided view, nothing
-    copied) by the span's block-Toeplitz rows: M is (image, output row), so
-    an (M, N) array is the (image, window) rows of the layer, row-major per
-    image. The zeros add exact zeros, so every partial sum of a span is a
-    sum of at most its length of nonzero products, as in the FC product."""
+    columns, and has one output row; each span casts its own columns. A conv
+    (`layer` a ConvLayer, `x` NHWC) casts only the k input rows an output row
+    reads, whole, as every span's block-Toeplitz rows cover all their
+    columns, so N holds every (window, output) of that row. The zeros add
+    exact zeros, so every partial sum of a span is a sum of at most its
+    length of nonzero products, as in the FC product."""
     ws = _workspace()
     conv = isinstance(layer, ConvLayer)
     if conv:
-        xf = ws.take(x.shape, dtype)
-        np.subtract(x, shift, out=xf, dtype=dtype)
-        k, s, oh = layer.kernel, layer.stride, layer.out_h
+        k, s = layer.kernel, layer.stride
+        rows = [x[:, r * s : r * s + k].reshape(len(x), -1) for r in range(layer.out_h)]
+        width = rows[0].shape[1]
     else:
         if x.ndim == 4:  # NHWC conv activations
             x = x.transpose(0, 3, 1, 2)
-        x = x.reshape(len(x), -1)
-        xf_flat = ws.take((len(x) * max(hi - lo for lo, hi in spans),), dtype)
-    out = ws.take((len(x) * (oh if conv else 1), len(operands[0])), dtype)
-    for (lo, hi), operand in zip(spans, operands):
-        if conv:
-            by_row = out.reshape(len(x), oh, -1)
-            for r in range(oh):
-                np.matmul(xf[:, r * s : r * s + k].reshape(len(x), -1), operand.T, out=by_row[:, r])
-        else:
-            xf = xf_flat[: len(x) * (hi - lo)].reshape(len(x), hi - lo)
-            np.subtract(x[:, lo:hi], shift, out=xf, dtype=dtype)
-            np.matmul(xf, operand.T, out=out)
-        yield out
+        rows = [x.reshape(len(x), -1)]
+        width = max(hi - lo for spans in blocks for lo, hi in spans)
+    xf_flat = ws.take((len(x) * width,), dtype)
+    out = ws.take((len(x), len(operands[0])), dtype)
+    operands = iter(operands)
+    for spans in blocks:
+        group = [(slice(None) if conv else slice(lo, hi), next(operands)) for lo, hi in spans]
+        for row in rows:
+            for columns, operand in group:
+                part = row[:, columns]
+                xf = xf_flat[: part.size].reshape(part.shape)
+                np.copyto(xf, part)  # then shift in place: faster than a casting subtract
+                xf -= shift
+                np.matmul(xf, operand.T, out=out)
+                yield out
 
 
 def _blocks(lengths, width: int) -> list:
@@ -684,7 +696,8 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
     workspace view that the next segment overwrites: read it before drawing
     the next. The caller holds the workspace frame. `lanes` are the layer's
     packed operands for `lengths` (`_lanes`), which row blocks share; made
-    here when None.
+    here when None. Each output row's GEMMs (`_gemms`) are decoded into that
+    row of the counts.
 
     The GEMM of a span of length m against the lanes, with the activations
     cast to b - 1/2, gives r = (d_j + B d_{H+j}) / 2 for the signed dots d,
@@ -703,124 +716,99 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
     n = len(w_bits) * (layer.out_w if isinstance(layer, ConvLayer) else 1)  # operand rows
     h, p = (n + 1) // 2, n // 2
     dtype = np.min_scalar_type(max(lengths))
-    counts = ws.take((len(x) * _rows_per_image(layer) * len(w_bits) // n, n), dtype)
-    extra = ws.take(counts.shape, dtype) if max(map(len, blocks)) > 1 else None
-    gemms = _gemms(x, lanes, [span for spans in blocks for span in spans], layer, 0.5, np.float32)
+    counts = ws.take((len(x), _out_rows(layer), n), dtype)
+    extra = ws.take((len(x), n), dtype) if max(map(len, blocks)) > 1 else None
+    gemms = _gemms(x, lanes, blocks, layer, 0.5, np.float32)
     for spans in blocks:
-        for i, (lo, hi) in enumerate(spans):
-            q = next(gemms)
-            base = 1 << (hi - lo).bit_length()
-            q[:, :p] += (hi - lo) * (1 + base) / 2
-            q[:, p:] += (hi - lo) / 2
-            dst = counts if i == 0 else extra
-            pair, high = q[:, :p], dst[:, h:]
-            pair *= 1 / base
-            np.copyto(high, pair, casting="unsafe")  # truncates: c_{H+j}
-            pair -= high
-            pair *= base
-            np.copyto(dst[:, :p], pair, casting="unsafe")
-            np.copyto(dst[:, p:h], q[:, p:], casting="unsafe")
-            if i:
-                counts += extra
+        for r in range(counts.shape[1]):
+            for i, (lo, hi) in enumerate(spans):
+                q = next(gemms)
+                base = 1 << (hi - lo).bit_length()
+                q[:, :p] += (hi - lo) * (1 + base) / 2
+                q[:, p:] += (hi - lo) / 2
+                dst = extra if i else counts[:, r]
+                pair, high = q[:, :p], dst[:, h:]
+                pair *= 1 / base
+                np.copyto(high, pair, casting="unsafe")  # truncates: c_{H+j}
+                pair -= high
+                pair *= base
+                np.copyto(dst[:, :p], pair, casting="unsafe")
+                np.copyto(dst[:, p:h], q[:, p:], casting="unsafe")
+                if i:
+                    counts[:, r] += extra
         yield counts.reshape(-1, len(w_bits))
 
 
-def _segment_dots(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], layer=None) -> list[np.ndarray]:
-    """Exact signed dot products of the bits `x` entering a weight layer
-    with its weight rows `w_bits` (bits b as 2b - 1), one float32 (input
-    rows, O) array per fan-in segment of `lengths`: 2c - m from the
-    popcounts c of `_segment_counts`."""
-    with _workspace().frame():
-        return [2 * c.astype(np.float32) - m for c, m in zip(_segment_counts(x, w_bits, lengths, layer), lengths)]
-
-
 def _signed_matmul(x: np.ndarray, w_bits: np.ndarray, layer=None) -> np.ndarray:
-    """Exact signed dot products of bit matrices (bits b as 2b - 1), int64."""
-    (dot,) = _segment_dots(x, w_bits, (w_bits.shape[1],), layer)
-    return dot.astype(np.int64)
+    """Exact signed dot products of bit matrices (bits b as 2b - 1), int64:
+    2c - n from the popcounts c of `_segment_counts` over the whole fan-in n."""
+    n = w_bits.shape[1]
+    with _workspace().frame():
+        (counts,) = _segment_counts(x, w_bits, (n,), layer)
+        return 2 * counts.astype(np.int64) - n
 
 
-def _pixel_operands(image_dtype, w: np.ndarray, layer=None) -> tuple:
-    """(GEMM dtype, shift, spans, operand rows per span, threshold) of the
-    non-binarized layer with int8 weight rows `w` on images of
-    `image_dtype`, its weights cast once into the workspace in the caller's
-    open frame (see `_pixel_dots`)."""
-    if image_dtype == np.uint8:
-        dtype, shift, threshold = np.float32, 128.0, -128 * w.sum(axis=1, dtype=np.int64)
-        spans = _blocks((w.shape[1],), max(1, _FLOAT32_EXACT // (128 * 128)))[0]
-    else:
-        dtype, shift, threshold = np.float64, 0.0, np.zeros(len(w))
-        spans = [(0, w.shape[1])]
-    weights = _workspace().take(w.shape, dtype)
+def _pixel_operands(w: np.ndarray, layer=None) -> tuple:
+    """(spans, operand rows per span, threshold) of the non-binarized layer
+    with int8 weight rows `w`, its weights cast to float32 once into the
+    workspace in the caller's open frame (see `_pixel_dots`)."""
+    threshold = -128 * w.sum(axis=1, dtype=np.int64)
+    spans = _blocks((w.shape[1],), max(1, _FLOAT32_EXACT // (128 * 128)))[0]
+    weights = _workspace().take(w.shape)
     np.copyto(weights, w)
     if isinstance(layer, ConvLayer):  # one threshold per (window, output) column
         threshold = np.tile(threshold, layer.out_w)
     if len(spans) == 1:
-        threshold = threshold.astype(dtype)
-    return dtype, shift, spans, _operands(weights, spans, layer, dtype), threshold
+        threshold = threshold.astype(np.float32)
+    return spans, _operands(weights, spans, layer, np.float32), threshold
 
 
-def _pixel_dots(x: np.ndarray, w: np.ndarray, layer=None, operands=None) -> tuple[np.ndarray, np.ndarray]:
-    """Products of the pixels `x` entering a weight layer with its int8
-    weight rows `w`, one row per input row (per image, or per (image,
-    window) of a conv on NHWC pixels), as a workspace view `dots` and a
-    per-column `threshold` with dot product = dots - threshold; the layer
-    fires where dots >= threshold. The dots are the (M, N) GEMM outputs of
-    `_gemms`: for a conv, N holds every (window, output) of an output row.
-    `operands` are the layer's (`_pixel_operands`), which row blocks share;
-    made here when None.
+def _pixel_dots(x: np.ndarray, layer, operands):
+    """Generator of the centred products of the uint8 pixels `x` entering
+    the non-binarized layer with its weight rows, one (images, N) workspace
+    view per output row that the next overwrites, N every (window, output)
+    of a conv's row: dot product = dots - threshold, with the spans, rows
+    and per-column threshold of `operands` (`_pixel_operands`), which row
+    blocks share. The layer fires where dots >= threshold.
 
-    uint8 pixels are centred: dots = sum (x - 128) w and threshold =
+    The pixels are centred: dots = sum (x - 128) w and threshold =
     -128 sum w. Each product is then at most 128 * 128 = 2^14 in magnitude,
     so over a block of 1024 fan-in columns every partial sum is an integer
     of magnitude at most 2^24, which float32 adds without rounding in any
     summation order: a fan-in of at most 1024 (every named network's) is
-    one exact float32 GEMM; wider ones add their blocks in float64, exact
-    below 2^53. Other image dtypes have no such bound: one float64 GEMM,
-    threshold 0.
+    one exact float32 GEMM, whose output is the dots; wider ones add their
+    blocks in float64, exact below 2^53.
     """
-    if operands is None:
-        operands = _pixel_operands(x.dtype, w, layer)
-    dtype, shift, spans, rows, threshold = operands
-    gemms = _gemms(x, rows, spans, layer, shift, dtype)
-    first = next(gemms)
+    spans, rows, _ = operands
+    gemms = _gemms(x, rows, [spans], layer, 128.0, np.float32)
     if len(spans) == 1:
-        return first, threshold
-    dots = _workspace().take(first.shape, np.float64)
-    dots[...] = first
-    for part in gemms:
-        dots += part
-    return dots, threshold
+        yield from gemms
+        return
+    dots = _workspace().take((len(x), len(rows[0])), np.float64)
+    for _ in range(_out_rows(layer)):
+        dots[...] = next(gemms)
+        for _ in spans[1:]:
+            dots += next(gemms)
+        yield dots
 
 
 def _pixel_bits(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
     """Activation bits of the non-binarized layer, uint8 (input rows, O):
     1 where the exact dot product is at least 0. The weight operands are
-    made once; each row block (`_by_rows`) writes its rows of the bits."""
-    per = _rows_per_image(layer)
-    bits = np.empty((len(x) * per, len(w)), np.uint8)
+    made once; each row block (`_by_rows`) compares each output row's dots
+    into that row of its images' bits."""
+    bits = np.empty((len(x) * _rows_per_image(layer), len(w)), np.uint8)
+    by_row = bits.view(np.bool_).reshape(len(x), _out_rows(layer), -1)
 
     def block(lo, hi):
         with _workspace().frame():
-            dots, threshold = _pixel_dots(x[lo:hi], w, layer, operands)
-            np.greater_equal(dots, threshold, out=bits[lo * per : hi * per].view(np.bool_).reshape(dots.shape))
+            for r, dots in enumerate(_pixel_dots(x[lo:hi], layer, operands)):
+                np.greater_equal(dots, operands[-1], out=by_row[lo:hi, r])
 
     with _workspace().frame():
-        operands = _pixel_operands(x.dtype, w, layer)
+        operands = _pixel_operands(w, layer)
         _by_rows(block, len(x))
     return bits
-
-
-def _pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
-    """Exact integer dot products of pixels with int8 weight rows, as an
-    ordinary array: float32 while every sum of up to the fan-in products is
-    exact in it (a uint8 pixel times an int8 weight is at most 255 * 128 in
-    magnitude, so fan-ins up to 514), float64 beyond and for other image
-    dtypes."""
-    with _workspace().frame():
-        dots, threshold = _pixel_dots(x, w, layer)
-        exact32 = x.dtype == np.uint8 and 255 * 128 * w.shape[1] <= _FLOAT32_EXACT
-        return np.subtract(dots, threshold, dtype=np.float32 if exact32 else np.float64).reshape(-1, len(w))
 
 
 def _fc_bits_golden(counts: np.ndarray, fan_in: int, tie_high: bool, out=None) -> np.ndarray:
@@ -983,8 +971,8 @@ def run_inference(
     tensor. The net must end in an FC layer (a conv scores each window, not
     each image). Images pass in chunks of `_CHUNK`; integer counts are
     summed over chunks and divided once, so the report does not depend on
-    the chunk size. `images` are (N, H, W) single-channel, or NHWC
-    (N, H, W, C), at the net's input size: any other shape raises
+    the chunk size. `images` are uint8, (N, H, W) single-channel or NHWC
+    (N, H, W, C), at the net's input size: any other dtype or shape raises
     ValueError."""
     weights.validate(net)
     layers = net.weight_layers
@@ -997,6 +985,8 @@ def run_inference(
     if images.shape[1:] != (net.input_h, net.input_w, net.input_channels):
         got = "x".join(map(str, images.shape[1:]))
         raise ValueError(f"images are {got} (HxWxC); the net takes {net.input_h}x{net.input_w}x{net.input_channels}")
+    if images.dtype != np.uint8:
+        raise ValueError(f"images are {images.dtype}; the pixel layer takes uint8")
     acts = len(layers) - layers[-1].binarized  # weight layers that threshold: all but raw scores
     golden_correct = correct = 0
     mismatched, total = [0] * acts, [0] * acts

@@ -11,16 +11,18 @@ Each guarantee a docstring states, and the check in `CHECKS` that proves it:
   any does (`cascade`): `and_or_definitions`, from those definitions over
   every count cell of every `CASCADE_SPLITS` split (`and_or_hold`), so a
   wrong AND/OR bound table fails it.
-* The pixel GEMM is exact (`netio._pixel_dots`): `pixel_gemm`, the exact dot
-  across its float32 bound of 514 columns and one and two centred blocks;
+* The pixel GEMM is exact (`netio._pixel_dots`, read by `pixel_matmul`):
+  `pixel_gemm`, the exact dot where uncentred float32 products would stop
+  being exact (514 columns) and at one and two centred blocks;
   `centred_gemm`, the layer's compare on dots of -1, 0 and +1 whose centred
   sums reach 2^24, at one centred block of 1024 columns and one past it.
 * The packed +-1 lanes are exact (`netio._segment_counts`): `packed_lanes`,
   at spans of B - 1 and B and at 4095 and 4096, with all-match and
   all-mismatch lanes and a row left alone in its lane.
-* The conv GEMM is exact (`netio._segment_dots`, `_pixel_matmul` on a conv):
-  `conv_gemm`, against an int64 dot per window (`window_dots`) on one, two
-  and three segments.
+* The conv GEMM is exact (`netio._segment_counts` and `pixel_matmul` on a
+  conv): `conv_gemm`, against an int64 dot per window (`window_dots`) on
+  one, two and three segments, and a pixel conv of two centred blocks per
+  output row, whose bits `netio._pixel_bits` must fire iff that dot >= 0.
 * The conv dataflow equals im2col (`dataflow.run_layer`): `dataflow_dots`,
   against the conv GEMM's signed dot, which `conv_gemm` ties to the windows.
 * The closed-form bus words equal the transaction log
@@ -70,9 +72,9 @@ DATAFLOW_CASES = (
 # (10+10+7, 10+8)
 CONV_SPLIT_ROWS = (512, 16, 10)
 
-# the exact pixel dot's float32 bound of 514 columns (255 * 128 * 514 <=
-# 2^24) and one column past it; two centred blocks of 1024 columns, with
-# one and five columns in the second
+# the last fan-in at which uncentred float32 products would be exact
+# (255 * 128 * 514 <= 2^24) and one column past it; two centred blocks of
+# 1024 columns, with one and five columns in the second
 PIXEL_FAN_INS = (514, 515, 1028, 1029)
 
 # one centred float32 GEMM (1024 columns of products up to 2^14), and one
@@ -98,6 +100,17 @@ def window_dots(x: np.ndarray, w: np.ndarray, layer) -> np.ndarray:
         for q in range(layer.out_w)
     ]
     return (np.stack(windows, axis=1) @ w.T).reshape(-1, len(w))
+
+
+def pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
+    """Exact integer products of the uint8 pixels `x` with int8 weight rows
+    `w`, int64, one row per image or per (image, window) of a conv on NHWC
+    pixels: each output row's dots from `netio._pixel_dots`, the path the
+    pixel layer compares, less the layer's threshold."""
+    with netio._workspace().frame():
+        operands = netio._pixel_operands(w, layer)
+        rows = [np.subtract(dots, operands[-1], dtype=np.float64) for dots in netio._pixel_dots(x, layer, operands)]
+    return np.stack(rows, axis=1).astype(np.int64).reshape(-1, len(w))
 
 
 def admissible(lengths, x: int, count: int) -> bool:
@@ -331,7 +344,7 @@ def pixel_gemm() -> bool:
         w = np.full((3, fan_in), -128, np.int8)
         w[1] = 127
         w[2, 0] = 127  # an odd sum, past 2^24 at 1029: one float32 GEMM would round it
-        if not np.array_equal(netio._pixel_matmul(a, w), a.astype(np.int64) @ w.astype(np.int64).T):
+        if not np.array_equal(pixel_matmul(a, w), a.astype(np.int64) @ w.astype(np.int64).T):
             return False
     return True
 
@@ -340,7 +353,7 @@ def centred_gemm() -> bool:
     """Pixel rows whose exact dot is -1, 0 or +1 while the centred partial
     sums reach 2^24: x = 0 against w = -128 in every column but the first,
     where x = 1 meets w = d. `_pixel_bits` must fire iff d >= 0 and
-    `_pixel_matmul` must give d."""
+    `pixel_matmul` must give d."""
     for fan_in in CENTRED_FAN_INS:
         a = np.zeros((1, fan_in), np.uint8)
         a[0, 0] = 1
@@ -348,16 +361,17 @@ def centred_gemm() -> bool:
         w[:, 0] = (-1, 0, 1)
         if not (
             np.array_equal(netio._pixel_bits(a, w), [[0, 1, 1]])
-            and np.array_equal(netio._pixel_matmul(a, w), [[-1, 0, 1]])
+            and np.array_equal(pixel_matmul(a, w), [[-1, 0, 1]])
         ):
             return False
     return True
 
 
 def packed_lanes() -> bool:
-    """`netio._segment_dots` against an int64 signed dot over one segment
-    and over that segment plus a 7-column one. Seven weight rows, so three
-    lanes hold two rows and one holds a single row: against all-ones
+    """The signed dots 2c - m from the popcounts c of each segment (length
+    m) of `netio._segment_counts` against an int64 signed dot over one
+    segment and over that segment plus a 7-column one. Seven weight rows,
+    so three lanes hold two rows and one holds a single row: against all-ones
     activations the lanes pair all-match with all-match (the largest packed
     sum), all-mismatch with all-match, and a random row with all-match;
     all-zeros and random activation rows complete the cases."""
@@ -371,9 +385,10 @@ def packed_lanes() -> bool:
         sa, sw = 2 * a.astype(np.int64) - 1, 2 * w.astype(np.int64) - 1
         for lengths in ((n,), (m, 7)):
             bounds = np.cumsum((0,) + lengths)
-            for dot, lo, hi in zip(netio._segment_dots(a, w, lengths), bounds[:-1], bounds[1:]):
-                if not np.array_equal(dot, sa[:, lo:hi] @ sw[:, lo:hi].T):
-                    return False
+            with netio._workspace().frame():
+                for c, lo, hi in zip(netio._segment_counts(a, w, lengths), bounds[:-1], bounds[1:]):
+                    if not np.array_equal(2 * c.astype(np.int64) - (hi - lo), sa[:, lo:hi] @ sw[:, lo:hi].T):
+                        return False
     return True
 
 
@@ -404,9 +419,15 @@ def census() -> bool:
 
 
 def conv_gemm() -> bool:
-    """Per segment on one, two and three segments, for bits and for pixels,
-    and across the pixel float32 bound. Five output channels, so that an odd
-    count of windows per row leaves one Toeplitz row alone in its lane."""
+    """Per segment on one, two and three segments, for bits and for pixels;
+    1x1 pixel convs on either side of 514 channels; and a 5x5 pixel conv
+    over 45 channels, fan-in 1125, whose output rows sum two centred float32
+    blocks in float64. Five output channels, so that an odd count of windows
+    per row leaves one Toeplitz row alone in its lane. On the 1125 conv,
+    random pixels and, per window, dots of -1, 0 and +1 whose centred sum is
+    odd and past 2^24 (channel 0 all 1, meeting weights (d, 0, ..., 0);
+    every other channel 0 against -128), where one float32 GEMM would
+    round; `netio._pixel_bits` must fire iff the dot >= 0."""
     rng = np.random.default_rng(3)
     ok = True
     for ch, h, w, k, stride in dict.fromkeys(case[:5] for case in DATAFLOW_CASES):
@@ -416,19 +437,31 @@ def conv_gemm() -> bool:
         for rows in CONV_SPLIT_ROWS:
             lengths = crossbar.segment_lengths(layer.fan_in, rows)
             bounds = np.cumsum((0,) + lengths)
-            for dot, lo, hi in zip(netio._segment_dots(x, kernels, lengths, layer), bounds[:-1], bounds[1:]):
-                part = np.zeros(kernels.shape, np.int64)
-                part[:, lo:hi] = 2 * kernels[:, lo:hi].astype(np.int64) - 1
-                ok &= np.array_equal(dot, window_dots(2 * x.astype(np.int64) - 1, part, layer))
+            with netio._workspace().frame():
+                for c, lo, hi in zip(netio._segment_counts(x, kernels, lengths, layer), bounds[:-1], bounds[1:]):
+                    part = np.zeros(kernels.shape, np.int64)
+                    part[:, lo:hi] = 2 * kernels[:, lo:hi].astype(np.int64) - 1
+                    want = window_dots(2 * x.astype(np.int64) - 1, part, layer)
+                    ok &= np.array_equal(2 * c.astype(np.int64) - (hi - lo), want)
         pixels = rng.integers(0, 256, (2, h, w, ch), dtype=np.uint8)
         w8 = rng.integers(-128, 128, (5, layer.fan_in), dtype=np.int8)
-        ok &= np.array_equal(netio._pixel_matmul(pixels, w8, layer), window_dots(pixels.astype(np.int64), w8, layer))
-    for channels, dtype in ((514, np.float32), (515, np.float64)):
+        ok &= np.array_equal(pixel_matmul(pixels, w8, layer), window_dots(pixels.astype(np.int64), w8, layer))
+    for channels in (514, 515):
         layer = dataflow.ConvLayer(channels, 2, 3, 4, 1, binarized=False)
         pixels, w8 = np.full((2, 3, 4, channels), 255, np.uint8), np.full((2, channels), -128, np.int8)
-        got = netio._pixel_matmul(pixels, w8, layer)
-        ok &= got.dtype == dtype and np.array_equal(got, window_dots(pixels.astype(np.int64), w8, layer))
-    return bool(ok)
+        ok &= np.array_equal(pixel_matmul(pixels, w8, layer), window_dots(pixels.astype(np.int64), w8, layer))
+    layer = dataflow.ConvLayer(45, 3, 6, 7, 5, binarized=False)
+    edge = np.zeros((2, 6, 7, 45), np.uint8)
+    edge[..., 0] = 1
+    edge_w8 = np.full((3, layer.fan_in), -128, np.int8)
+    edge_w8[:, :25] = 0  # channel 0's columns, in (c, i, j) order
+    edge_w8[:, 0] = (-1, 0, 1)
+    random = rng.integers(0, 256, edge.shape, dtype=np.uint8), rng.integers(-128, 128, edge_w8.shape, dtype=np.int8)
+    for pixels, w8 in (random, (edge, edge_w8)):
+        want = window_dots(pixels.astype(np.int64), w8, layer)
+        ok &= np.array_equal(pixel_matmul(pixels, w8, layer), want)
+        ok &= np.array_equal(netio._pixel_bits(pixels, w8, layer), want >= 0)
+    return bool(ok and np.array_equal(want, np.tile([-1, 0, 1], (2 * 2 * 3, 1))))  # the edge dots are as planted
 
 
 def dataflow_dots() -> bool:
@@ -473,7 +506,7 @@ CHECKS = (
      f"{_shapes(crossbar.segment_lengths(n, rows) for rows, n in CHAIN_SPLITS)}", chain),
     ("pair-count census == raw exhaustive walk, false positives and negatives, AND/OR/F1", census),
     (f"conv band GEMM == int64 per-window dot, dataflow shapes on {' '.join(f'{r} rows' for r in CONV_SPLIT_ROWS)}, "
-     "1x1 pixel conv at 514/515 channels", conv_gemm),
+     "1x1 pixel conv at 514/515 channels, 5x5 pixel conv over 45 channels (two centred blocks)", conv_gemm),
     ("conv dataflow == conv band GEMM signed dot, "
      + " ".join("c{}h{}w{}k{}s{}pw{:d}".format(*case) for case in DATAFLOW_CASES), dataflow_dots),
     ("logged bus words == closed form, bus widths 1/32, bit widths 1/8", bus_words),

@@ -17,13 +17,12 @@ from xbarbnn.netio import (
     NetworkSpec,
     PoolLayer,
     WeightContainer,
-    _pixel_matmul,
     _pool_or,
     named_network,
     parse_topology,
     run_inference,
 )
-from xbarbnn.verify import chain_matches_scalar, window_dots
+from xbarbnn.verify import chain_matches_scalar, pixel_matmul, window_dots
 
 
 @pytest.mark.parametrize(
@@ -65,24 +64,29 @@ def test_pool_or_equals_reshape_max(rng, size, hw, high):
 def test_pixel_gemm_is_exact_above_the_float32_bound(monkeypatch):
     a = np.full((1, 783), 255, np.uint8)
     w = np.full((1, 783), 127, np.int8)
-    assert int(_pixel_matmul(a, w)[0, 0]) == 25_357_455  # 255 * 127 * 783: odd, above 2^24
-    monkeypatch.setattr(netio, "_FLOAT32_EXACT", 1 << 62)  # float32 at any fan-in
-    assert int(_pixel_matmul(a, w)[0, 0]) != 25_357_455  # float32 holds no odd integer above 2^24
+    assert int(pixel_matmul(a, w)[0, 0]) == 25_357_455  # 255 * 127 * 783: odd, above 2^24
+    # x = 1 meets w = 1, then x = 0 meets w = -128 in 1028 columns: dot 1,
+    # centred sum 1028 * 2^14 - 127, odd and above 2^24
+    a, w = np.zeros((1, 1029), np.uint8), np.full((1, 1029), -128, np.int8)
+    a[0, 0] = w[0, 0] = 1
+    assert int(pixel_matmul(a, w)[0, 0]) == 1
+    monkeypatch.setattr(netio, "_FLOAT32_EXACT", 1 << 62)  # one centred float32 GEMM at any fan-in
+    assert int(pixel_matmul(a, w)[0, 0]) != 1  # float32 holds no odd integer above 2^24
 
 
-@pytest.mark.parametrize("fan_in, dtype", [(514, np.float32), (515, np.float64)])
-def test_pixel_gemm_dtype_switches_at_the_bound(fan_in, dtype):
+@pytest.mark.parametrize("fan_in", [514, 515])
+def test_pixel_gemm_is_exact_either_side_of_the_uncentred_bound(fan_in):
     # 255 * 128 * 514 <= 2^24 < 255 * 128 * 515 (255 * 127 * 515 is below it)
     a = np.full((1, fan_in), 255, np.uint8)
     w = np.full((1, fan_in), -128, np.int8)
-    got = _pixel_matmul(a, w)
-    assert got.dtype == dtype
-    assert int(got[0, 0]) == -255 * 128 * fan_in
+    assert int(pixel_matmul(a, w)[0, 0]) == -255 * 128 * fan_in
 
 
-def test_pixel_gemm_of_other_image_dtypes_is_float64():
-    got = _pixel_matmul(np.full((1, 4), 255, np.int64), np.full((1, 4), 127, np.int8))
-    assert got.dtype == np.float64
+def test_run_inference_rejects_images_that_are_not_uint8():
+    net = named_network("mlp-s")
+    images = np.full((1, 28, 28), 255, np.int64)
+    with pytest.raises(ValueError, match="images are int64; the pixel layer takes uint8"):
+        run_inference(net, WeightContainer.random(net, 1), images, np.zeros(1, np.uint8))
 
 
 # (channels, height, width, kernel, stride): H != W; a 1x1 kernel; kernels
@@ -104,27 +108,25 @@ def test_conv_band_gemm_equals_per_window_reference(rng, c, h, w, k, stride, par
     x = rng.integers(0, 2, (3, h, w, c), dtype=np.uint8)
     kernels = rng.integers(0, 2, (4, layer.fan_in), dtype=np.uint8)
     signed_x, signed_w = 2 * x.astype(np.int64) - 1, 2 * kernels.astype(np.int64) - 1
-    dots = netio._segment_dots(x, kernels, lengths, layer)
     bounds = np.cumsum((0,) + lengths)
-    for dot, lo, hi in zip(dots, bounds[:-1], bounds[1:]):
-        part = np.zeros_like(signed_w)
-        part[:, lo:hi] = signed_w[:, lo:hi]
-        assert dot.dtype == np.float32
-        assert np.array_equal(dot, window_dots(signed_x, part, layer))
+    with netio._workspace().frame():
+        for counts, lo, hi in zip(netio._segment_counts(x, kernels, lengths, layer), bounds[:-1], bounds[1:]):
+            part = np.zeros_like(signed_w)
+            part[:, lo:hi] = signed_w[:, lo:hi]
+            assert np.array_equal(2 * counts.astype(np.int64) - (hi - lo), window_dots(signed_x, part, layer))
     assert np.array_equal(netio._signed_matmul(x, kernels, layer), window_dots(signed_x, signed_w, layer))
 
     pixels = rng.integers(0, 256, (3, h, w, c), dtype=np.uint8)
     w8 = rng.integers(-128, 128, (4, layer.fan_in), dtype=np.int8)
     want = window_dots(pixels.astype(np.int64), w8.astype(np.int64), layer)
-    assert np.array_equal(_pixel_matmul(pixels, w8, layer), want)
+    assert np.array_equal(pixel_matmul(pixels, w8, layer), want)
 
 
-@pytest.mark.parametrize("channels, dtype", [(514, np.float32), (515, np.float64)])
-def test_pixel_conv_dtype_switches_at_the_bound(channels, dtype):
+@pytest.mark.parametrize("channels", [514, 515])
+def test_pixel_conv_is_exact_either_side_of_the_uncentred_bound(channels):
     # a 1x1 conv: fan-in = channels, 255 * 128 * 514 <= 2^24 < 255 * 128 * 515
     layer = ConvLayer(channels, 2, 3, 4, 1, binarized=False)
-    got = _pixel_matmul(np.full((2, 3, 4, channels), 255, np.uint8), np.full((2, channels), -128, np.int8), layer)
-    assert got.dtype == dtype
+    got = pixel_matmul(np.full((2, 3, 4, channels), 255, np.uint8), np.full((2, channels), -128, np.int8), layer)
     assert np.array_equal(got, np.full((2 * 3 * 4, 2), -255 * 128 * channels))
 
 
@@ -282,13 +284,14 @@ def test_chains_that_never_diverge_share_every_layer(monkeypatch):
 # 25 and mlp-s's 784 alike
 @pytest.mark.parametrize("name, dtype", [("lenet-5", np.float32), ("mlp-s", np.float32)])
 def test_first_layer_gemm_runs_once_per_chunk(monkeypatch, name, dtype):
-    dtypes = []
+    dtypes = []  # per call, the dtype of each output row's dots
     real = netio._pixel_dots
 
     def recording(*args):
-        dots, threshold = real(*args)
-        dtypes.append(dots.dtype)
-        return dots, threshold
+        dtypes.append([])
+        for dots in real(*args):
+            dtypes[-1].append(dots.dtype)
+            yield dots
 
     monkeypatch.setattr(netio, "_pixel_dots", recording)
     monkeypatch.setattr(netio, "_CHUNK", 7)
@@ -296,7 +299,7 @@ def test_first_layer_gemm_runs_once_per_chunk(monkeypatch, name, dtype):
     images = np.random.default_rng(5).integers(0, 256, (20, 28, 28), dtype=np.uint8)
     backend = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
     run_inference(net, WeightContainer.random(net, 1), images, np.zeros(20, np.uint8), backend)
-    assert dtypes == [dtype] * 3  # 20 images in chunks of 7
+    assert dtypes == [[dtype] * netio._out_rows(net.weight_layers[0])] * 3  # 20 images in chunks of 7
 
 
 def test_run_inference_rejects_unpaired_labels():
@@ -388,7 +391,7 @@ def _run_1537(name, backend, tie_high):
 
 @pytest.mark.parametrize("tie_high", [False, True], ids=["tie-low", "tie-high"])
 @pytest.mark.parametrize("kind", ["golden", *POLICY_KINDS])
-@pytest.mark.parametrize("name", ["lenet-5", "mlp-l"])
+@pytest.mark.parametrize("name", ["lenet-5", "mlp-l", "cnn-2"])
 def test_report_does_not_depend_on_the_row_blocks(monkeypatch, name, kind, tie_high):
     # 128-row arrays split every binarized fan-in, so the chains diverge
     backend = kind if kind == "golden" else CrossbarBackend(CrossbarConfig(128, 128), ReferenceSet(128, 4, 3), kind)
@@ -413,6 +416,32 @@ def test_report_does_not_depend_on_the_row_blocks(monkeypatch, name, kind, tie_h
         assert rows == sizes
     if kind != "golden":
         assert any(m["mismatch"] > 0 for m in want["layer_mismatch"])
+
+
+def test_a_first_lenet5_call_holds_one_output_row_of_each_conv_gemm(monkeypatch):
+    _blocked(monkeypatch, 1)
+    net = named_network("lenet-5")
+    rng = np.random.default_rng(11)
+    images = rng.integers(0, 256, (1024, 28, 28), dtype=np.uint8)
+    backend = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
+    args = net, WeightContainer.random(net, 12), images, rng.integers(0, 10, 1024, dtype=np.uint8), backend
+    peaks = []
+
+    def first_call():  # in a fresh thread, whose workspace starts empty
+        tracemalloc.start()
+        try:
+            run_inference(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=first_call)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(peaks) == 1
+    # the first conv's GEMM output over the whole block, 1024 * 24 rows of
+    # 24 windows x 6 outputs in float32, would alone be 13.5 MiB
+    assert peaks[0] < 10 * 2**20
 
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
