@@ -65,6 +65,8 @@ def _resolve(args, config: dict, key: str, default):
 
 
 def cmd_verify(args) -> int:
+    if args.nu_max is not None and args.nu_max < 1:
+        raise ValueError(f"--nu-max must be at least 1, got {args.nu_max}")
     from . import verify  # the suite compiles only when it runs
 
     failures = verify.run_verification(args.nu_max if args.nu_max is not None else verify.NU_MAX)

@@ -204,7 +204,11 @@ def estimate_proposed(net: NetworkSpec, params: CostParams, sa_reference_count: 
     one SA comparison cycle per reference. Data transfer is pipelined with
     compute, so it costs energy but no serial cycles. Conv layers are
     costed with parallel_window=False: one window per array read at the
-    layer's stride, bus words from `dataflow.streamed_words_per_layer`."""
+    layer's stride, bus words from `dataflow.streamed_words_per_layer`.
+    The reference count must be odd and positive, as a `ReferenceSet`'s is:
+    ValueError otherwise."""
+    if sa_reference_count < 1 or sa_reference_count % 2 == 0:
+        raise ValueError(f"reference count must be odd and positive, got {sa_reference_count}")
     layers = []
     for g in _geometry(net, params):
         reads = g.windows * g.bit_planes

@@ -2,9 +2,10 @@
 end-to-end inference runner that compares the crossbar execution against the
 exact software model. The runner moves both chains through the layers in
 lockstep and shares work by tensor identity: while the crossbar tensor is the
-golden one (the same object), a layer runs once for both. The first
-binarized layer's per-segment popcounts are also computed once; the chains
-diverge at its decisions.
+golden one (the same object), a layer runs once for both, and so does a
+binarized layer whose crossbar readout is its exact sign
+(`CrossbarBackend.reads_majority`). The next binarized layer's per-segment
+popcounts are computed once too; the chains diverge at its decisions.
 
 Conv activations are NHWC (batch, height, width, channels) from the images
 to the first FC layer, which flattens them in the (c, h, w) order of its
@@ -407,6 +408,15 @@ class CrossbarBackend:
             except ValueError as err:
                 split = "+".join(map(str, lengths))
                 raise ValueError(f"layer {i} (fan-in {layer.fan_in} = {split}): {err}") from None
+
+    def reads_majority(self, n: int, tie_high: bool) -> bool:
+        """Whether sensing a binarized layer of fan-in `n` gives its exact
+        sign (`_fc_bits_golden`): `n` fits one segment, whose main reference
+        n // 2 is the golden threshold with ties low, and with ties high for
+        odd `n` only. Raises ValueError where sensing it would."""
+        if len(segment_lengths(n, self.config.rows)) > 1:
+            return False
+        return self.refs.for_segment(n).main == ((n - 1) // 2 if tie_high else n // 2)
 
 
 @dataclass(frozen=True)
@@ -891,7 +901,9 @@ def _each(f, golden, crossbar):
 
 def _binarized(layer, w, golden, crossbar, backend, tie_high):
     """Both chains' activations of a binarized layer that is not the last.
-    The layer's lanes (`_lanes`) over the crossbar split, or over the whole
+    On a shared input that the backend senses exactly
+    (`CrossbarBackend.reads_majority`), the golden bits serve both chains.
+    Otherwise the layer's lanes (`_lanes`) over the crossbar split, or over the whole
     fan-in for the golden backend, are packed once for both chains and every
     row block. Each distinct input's per-segment popcounts are computed
     once per block: their sum over the segments gives the golden bits, and
@@ -899,6 +911,9 @@ def _binarized(layer, w, golden, crossbar, backend, tie_high):
     that is one pass for both; otherwise the golden chain's pass ends before
     the crossbar chain's starts, so the workspace holds one chain's counts
     at a time."""
+    if crossbar is golden and backend.reads_majority(layer.fan_in, tie_high):
+        golden, _ = _binarized(layer, w, golden, None, backend, tie_high)
+        return golden, golden
     n, per = layer.fan_in, _rows_per_image(layer)
     lengths = segment_lengths(n, backend.config.rows) if crossbar is not None else (n,)
     golden_bits = np.empty((len(golden) * per, len(w)), np.uint8)
@@ -963,13 +978,14 @@ def run_inference(
     One pass over `net.layers` carries both chains' tensors in lockstep.
     While the chains agree the crossbar tensor is the golden one (the same
     object), and each layer runs once for both: the non-binarized first
-    layer, any pool after it, and the final scores of a net with no other
-    binarized layer. The first binarized layer's per-segment popcounts are
-    computed once too; the crossbar chain senses them, and their sum gives
-    the golden bits. A layer whose two outputs are the same object counts 0
-    mismatch without a compare; the golden backend carries no crossbar
-    tensor. The net must end in an FC layer (a conv scores each window, not
-    each image). Images pass in chunks of `_CHUNK`; integer counts are
+    layer, every pool, every binarized layer whose crossbar readout is its
+    exact sign (`CrossbarBackend.reads_majority`), and the final scores. The
+    next binarized layer's per-segment popcounts are computed once too; the
+    crossbar chain senses them, their sum gives the golden bits, and the
+    chains diverge there. A layer whose two outputs are the same object
+    counts 0 mismatch without a compare; the golden backend carries no
+    crossbar tensor. The net must end in an FC layer (a conv scores each
+    window, not each image). Images pass in chunks of `_CHUNK`; integer counts are
     summed over chunks and divided once, so the report does not depend on
     the chunk size. `images` are uint8, (N, H, W) single-channel or NHWC
     (N, H, W, C), at the net's input size: any other dtype or shape raises

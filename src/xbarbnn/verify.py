@@ -27,11 +27,16 @@ Each guarantee a docstring states, and the check in `CHECKS` that proves it:
   against the conv GEMM's signed dot, which `conv_gemm` ties to the windows.
 * The closed-form bus words equal the transaction log
   (`dataflow.streamed_words_per_layer`): `bus_words` (`bus_words_match`).
+* A fan-in that fits one segment is sensed as its exact sign bit where
+  `netio.CrossbarBackend.reads_majority` says so, and only there, so the
+  inference chains may share that layer (`netio._binarized`):
+  `fitting_layers`, over every count of every fan-in up to 512, under both
+  tie rules.
 
 The other checks tie the batched paths to the scalar model: the xnor and
-popcount identity, the no-split crossbar against the majority rule, the two
-cascade evaluators on each other (`evaluators_agree`), and the batched
-inference chain against `crossbar.layer_forward` (`chain_matches_scalar`).
+popcount identity, the two cascade evaluators on each other
+(`evaluators_agree`), and the batched inference chain against
+`crossbar.layer_forward` (`chain_matches_scalar`).
 Every check returns True when its guarantee holds.
 """
 
@@ -300,18 +305,24 @@ def worked_example() -> bool:
 
 
 def fitting_layers() -> bool:
-    """A fan-in that fits one segment reads the exact majority."""
-    rng = np.random.default_rng(0)
-    cfg = crossbar.CrossbarConfig()
-    for _ in range(400):
-        n = int(rng.integers(2, 513))
-        x = bincore.BinaryTensor.from_bits(rng.integers(0, 2, n, dtype=np.uint8))
-        w = bincore.BinaryTensor.from_bits(rng.integers(0, 2, n, dtype=np.uint8))
-        refs = crossbar.ReferenceSet(n)
-        policy = cascade.CascadePolicy("AND", refs)
-        if crossbar.layer_forward(x, crossbar.map_weights(w, cfg), refs, policy) != bincore.golden_activation(x, w):
-            return False
-    return True
+    """A fan-in that fits one segment is sensed at its main reference alone
+    (`netio._fc_bits_crossbar`), and reads the golden sign bit
+    (`netio._fc_bits_golden`) at every count exactly where
+    `CrossbarBackend.reads_majority` says so, on which `netio._binarized`
+    gives both chains one tensor: every count 0..n of every fan-in n in
+    2..512 on 512 rows, ties low and high. Where it says not (ties high at
+    an even n), the two differ at the count n / 2 alone; a fan-in one past
+    the rows never shares."""
+    backend = netio.CrossbarBackend(crossbar.CrossbarConfig(), crossbar.ReferenceSet(2))
+    rows = backend.config.rows
+    for n in range(2, rows + 1):
+        counts = np.arange(n + 1)
+        sensed = netio._fc_bits_crossbar([counts], (n,), backend)
+        for tie_high in (False, True):
+            differ = np.flatnonzero(sensed != netio._fc_bits_golden(counts, n, tie_high)).tolist()
+            if differ != ([] if backend.reads_majority(n, tie_high) else [n / 2]):
+                return False
+    return not backend.reads_majority(rows + 1, False)
 
 
 def cascade_guarantees() -> bool:

@@ -39,6 +39,12 @@ BAD_CONFIGS = [
     # a conv as the last weight layer scores each window, not each image
     (["infer", "--topology", "5x5,6 - 2x2 Pool - 3x3,10", "--synthetic", "4", "--seed", "1"],
      "must end in an FC layer"),
+    # the counts `infer` rejects for its ReferenceSet, which once printed a cost
+    (["cost", "--network", "mlp-l", "--refs", "-2"], "reference count must be odd and positive, got -2"),
+    (["cost", "--network", "mlp-l", "--refs", "0"], "reference count must be odd and positive, got 0"),
+    (["cost", "--network", "mlp-l", "--refs", "2"], "reference count must be odd and positive, got 2"),
+    # no vector size to walk: the signed-dot check would pass vacuously
+    (["verify", "--nu-max", "0"], "--nu-max must be at least 1, got 0"),
 ]
 
 
@@ -48,7 +54,8 @@ BAD_CONFIGS = [
     ids=[
         "tail-512+8", "lenet5-64x64", "unknown-token", "bad-geometry", "refs-outside-segment", "unknown-network",
         "missing-weights", "missing-images", "missing-config", "missing-params", "f1-one-ref-split",
-        "unknown-policy-in-config", "conv-last",
+        "unknown-policy-in-config", "conv-last", "cost-refs-negative", "cost-refs-zero", "cost-refs-even",
+        "verify-nu-max-zero",
     ],
 )
 def test_bad_configuration_is_one_line_and_exit_2(capsys, argv, reason):

@@ -182,9 +182,9 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
     # as the layers decide them: one row per (image, window), one column per channel
     pixel_rows, binarized_rows = (a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1]) for a in want_acts)
     if backend != "golden":
-        # on 512 rows every fan-in fits one segment, where the SA reads the
-        # exact majority: the crossbar chain must equal the reference too; on
-        # 16 rows the binarized conv's fan-in 36 splits 16+16+4
+        # on 512 rows the binarized conv's fan-in 36 fits one segment, whose
+        # main reference 18 is the golden threshold with ties low: the chains
+        # stay one tensor; on 16 rows it splits 16+16+4
         rows, distance = (16, 1) if backend == "crossbar-16-rows" else (512, 16)
         backend = CrossbarBackend(CrossbarConfig(rows, rows), ReferenceSet(rows, distance, 3), "F2")
 
@@ -215,37 +215,67 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
     assert np.array_equal(outputs("_pixel_bits"), pixel_rows)
     golden = outputs("_fc_bits_golden")
     assert golden.dtype == np.uint8 and np.array_equal(golden, binarized_rows)
-    # in every chunk the golden chain's scores come first
+    # once per chunk while the chains are one tensor; once the chains
+    # diverge, the golden chain's scores come first in every chunk
     scores = [out for _, out in calls["_signed_matmul"]]
     for got in scores:
         assert got.dtype == np.int64
-    assert np.array_equal(np.concatenate(scores[:: 1 if backend == "golden" else 2]), want_scores)
+    shared = backend == "golden" or backend.config.rows == 512
+    assert len(scores) == (3 if shared else 6)
+    assert np.array_equal(np.concatenate(scores[:: 1 if shared else 2]), want_scores)
     assert report.golden_accuracy == 1.0
     if backend == "golden":
         assert report.layer_mismatch == ()
         return
-    crossbar_bits = outputs("_fc_bits_crossbar")
-    assert crossbar_bits.dtype == np.uint8
     mismatch = [m for _, m in report.layer_mismatch]
-    if backend.config.rows == 512:
-        assert np.array_equal(crossbar_bits, binarized_rows)
-        assert np.array_equal(np.concatenate(scores[1::2]), want_scores)
+    if shared:  # nothing is sensed: the golden bits are the crossbar chain's
+        assert calls["_fc_bits_crossbar"] == []
         assert report.accuracy == 1.0 and mismatch == [0.0, 0.0]
     else:
+        crossbar_bits = outputs("_fc_bits_crossbar")
+        assert crossbar_bits.dtype == np.uint8
         assert mismatch == [0.0, float((crossbar_bits != golden).mean())] and mismatch[1] > 0
 
 
-def _lenet5_run(n, backend):
+def _lenet5_run(n, backend, tie_high=False):
     net = named_network("lenet-5")
     rng = np.random.default_rng(3)
     images = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, n, dtype=np.uint8)
-    return run_inference(net, WeightContainer.random(net, 2), images, labels, backend)
+    return run_inference(net, WeightContainer.random(net, 2), images, labels, backend, tie_high)
 
 
 # 128-row arrays split lenet-5's fan-ins 150 and 400 (128+22, 128*3+16), so
 # the crossbar chain really mismatches
 SPLIT_BACKEND = CrossbarBackend(CrossbarConfig(128, 128), ReferenceSet(128, 4, 3), "F2")
+# the `infer` default: 512x512 arrays, 3 references at distance 16, F2
+DEFAULT_BACKEND = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
+
+
+@pytest.mark.parametrize("tie_high", [False, True], ids=["tie-low", "tie-high"])
+@pytest.mark.parametrize("name", ["lenet-5", "mlp-s"])
+def test_chains_kept_one_tensor_report_as_if_each_layer_were_sensed(monkeypatch, name, tie_high):
+    net = named_network(name)
+    rng = np.random.default_rng(13)
+    images = rng.integers(0, 256, (600, 28, 28), dtype=np.uint8)
+    args = net, WeightContainer.random(net, 14), images, rng.integers(0, 10, 600, dtype=np.uint8), DEFAULT_BACKEND
+    sensed, real = [], netio._fc_bits_crossbar
+    monkeypatch.setattr(netio, "_fc_bits_crossbar", lambda *a: sensed.append(a) or real(*a))
+    shared = run_inference(*args, tie_high).to_dict()
+    # every sensed fan-in (150, 256, 120, 84; 500, 250) fits 512 rows and is
+    # even, so the chains share every layer with ties low and none with ties high
+    assert bool(sensed) == tie_high
+    monkeypatch.setattr(CrossbarBackend, "reads_majority", lambda *args: False)
+    sensed.clear()
+    assert run_inference(*args, tie_high).to_dict() == shared
+    assert sensed
+
+
+def test_lenet5_with_ties_high_keeps_the_chains_apart():
+    # even fan-ins: the golden bit fires at the tie count n / 2, the SA above it
+    report = _lenet5_run(200, DEFAULT_BACKEND, tie_high=True)
+    mismatch = [m for _, m in report.layer_mismatch]
+    assert mismatch[0] == 0.0 and all(m > 0 for m in mismatch[1:])
 
 
 @pytest.mark.parametrize("backend", ["golden", SPLIT_BACKEND], ids=["golden", "crossbar"])
@@ -395,6 +425,21 @@ def _run_1537(name, backend, tie_high):
 def test_report_does_not_depend_on_the_row_blocks(monkeypatch, name, kind, tie_high):
     # 128-row arrays split every binarized fan-in, so the chains diverge
     backend = kind if kind == "golden" else CrossbarBackend(CrossbarConfig(128, 128), ReferenceSet(128, 4, 3), kind)
+    want = _same_report_on_1_2_3_blocks(monkeypatch, name, backend, tie_high)
+    if kind != "golden":
+        assert any(m["mismatch"] > 0 for m in want["layer_mismatch"])
+
+
+@pytest.mark.parametrize("tie_high", [False, True], ids=["tie-low", "tie-high"])
+def test_lenet5_report_on_512_rows_does_not_depend_on_the_row_blocks(monkeypatch, tie_high):
+    # one tensor for both chains with ties low; apart from conv2 on with ties high
+    want = _same_report_on_1_2_3_blocks(monkeypatch, "lenet-5", DEFAULT_BACKEND, tie_high)
+    assert any(m["mismatch"] > 0 for m in want["layer_mismatch"]) == tie_high
+
+
+def _same_report_on_1_2_3_blocks(monkeypatch, name, backend, tie_high):
+    """The report of `_run_1537`, which must not change from one row block
+    to two or three."""
     rows = set()  # images per block
     real = netio._by_rows
 
@@ -414,8 +459,7 @@ def test_report_does_not_depend_on_the_row_blocks(monkeypatch, name, kind, tie_h
         rows.clear()
         assert _run_1537(name, backend, tie_high) == want
         assert rows == sizes
-    if kind != "golden":
-        assert any(m["mismatch"] > 0 for m in want["layer_mismatch"])
+    return want
 
 
 def test_a_first_lenet5_call_holds_one_output_row_of_each_conv_gemm(monkeypatch):
