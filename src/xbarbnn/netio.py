@@ -903,9 +903,9 @@ def _binarized(layer, w, golden, crossbar, backend, tie_high):
     """Both chains' activations of a binarized layer that is not the last.
     On a shared input that the backend senses exactly
     (`CrossbarBackend.reads_majority`), the golden bits serve both chains.
-    Otherwise the layer's lanes (`_lanes`) over the crossbar split, or over the whole
-    fan-in for the golden backend, are packed once for both chains and every
-    row block. Each distinct input's per-segment popcounts are computed
+    Otherwise the layer's lanes (`_lanes`) over the crossbar split, or over
+    the whole fan-in for the golden backend, are packed once for both chains
+    and every row block. Each distinct input's per-segment popcounts are computed
     once per block: their sum over the segments gives the golden bits, and
     the crossbar chain senses them. While the chains share their input,
     that is one pass for both; otherwise the golden chain's pass ends before
@@ -985,11 +985,11 @@ def run_inference(
     chains diverge there. A layer whose two outputs are the same object
     counts 0 mismatch without a compare; the golden backend carries no
     crossbar tensor. The net must end in an FC layer (a conv scores each
-    window, not each image). Images pass in chunks of `_CHUNK`; integer counts are
-    summed over chunks and divided once, so the report does not depend on
-    the chunk size. `images` are uint8, (N, H, W) single-channel or NHWC
-    (N, H, W, C), at the net's input size: any other dtype or shape raises
-    ValueError."""
+    window, not each image). Images pass in chunks of `_CHUNK`; integer
+    counts are summed over chunks and divided once, so the report does not
+    depend on the chunk size. `images` are uint8, (N, H, W) single-channel
+    or NHWC (N, H, W, C), at the net's input size: any other dtype or shape
+    raises ValueError."""
     weights.validate(net)
     layers = net.weight_layers
     if not isinstance(layers[-1], FCLayer):
