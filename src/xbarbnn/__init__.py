@@ -10,8 +10,6 @@ from .cascade import (
     MonteCarloLoss,
     enumerate_loss,
     monte_carlo_loss,
-    region_predicate_and,
-    region_predicate_or,
     sweep_reference_distance,
 )
 from .costmodel import Comparison, CostParams, CostReport, compare, estimate_baseline, estimate_proposed
@@ -29,9 +27,9 @@ from .crossbar import (
 from .dataflow import ConvLayer, ConvWindowBuffer, TransactionLog, layout_kernels, run_layer
 from .netio import (
     CrossbarBackend,
-    DatasetSource,
     NetworkSpec,
     WeightContainer,
+    load_dataset,
     load_idx_images,
     load_idx_labels,
     named_network,

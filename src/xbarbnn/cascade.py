@@ -247,21 +247,6 @@ def cascade(policy: CascadePolicy, readouts: list[SAReadout], segment_lengths: l
     return int(out[0])
 
 
-def region_predicate_and(d1: int, d2: int, vector_size: int) -> bool:
-    """AND-policy mismatch region for an even split: the pair is a strict
-    majority overall, yet at least one half is at or below its main
-    reference (floor(vector_size/4), matching the strict comparator)."""
-    main = vector_size // 4
-    return 2 * (d1 + d2) > vector_size and (d1 <= main or d2 <= main)
-
-
-def region_predicate_or(d1: int, d2: int, vector_size: int) -> bool:
-    """OR-policy mismatch region, mirror of the AND one: no strict majority
-    overall, yet at least one half is above its main reference."""
-    main = vector_size // 4
-    return 2 * (d1 + d2) <= vector_size and (d1 > main or d2 > main)
-
-
 def pair_count(half: int, matches: int) -> int:
     """Number of (A, B) half-vector pairs of length `half` whose XNOR result
     has exactly `matches` ones: choose the matching positions, then A is

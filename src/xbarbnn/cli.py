@@ -65,11 +65,9 @@ def _resolve(args, config: dict, key: str, default):
 
 
 def cmd_verify(args) -> int:
-    if args.nu_max is not None and args.nu_max < 1:
-        raise ValueError(f"--nu-max must be at least 1, got {args.nu_max}")
     from . import verify  # the suite compiles only when it runs
 
-    failures = verify.run_verification(args.nu_max if args.nu_max is not None else verify.NU_MAX)
+    failures = verify.run_verification()
     for f in failures:
         print(f, file=sys.stderr)
     return 1 if failures else 0
@@ -187,7 +185,7 @@ def cmd_infer(args) -> int:
         weights = netio.WeightContainer.random(net, int(seed))
 
     if args.images and args.labels:
-        images, labels = netio.DatasetSource(args.images, args.labels).load()
+        images, labels = netio.load_dataset(args.images, args.labels)
     else:
         if seed is None:
             print("infer: --synthetic needs --seed", file=sys.stderr)
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run the exhaustive consistency suites")
-    v.add_argument("--nu-max", type=int, default=None, help="bound for exhaustive vector sizes")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("loss-sweep", help="exact or Monte-Carlo accuracy-loss tables")

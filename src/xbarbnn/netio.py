@@ -362,19 +362,13 @@ def load_idx_labels(path) -> np.ndarray:
     return labels
 
 
-@dataclass(frozen=True)
-class DatasetSource:
-    images_path: str
-    labels_path: str
-
-    def load(self) -> tuple[np.ndarray, np.ndarray]:
-        images = load_idx_images(self.images_path)
-        labels = load_idx_labels(self.labels_path)
-        if images.shape[0] != labels.shape[0]:
-            raise IdxFormatError(
-                f"{images.shape[0]} images vs {labels.shape[0]} labels: files do not pair"
-            )
-        return images, labels
+def load_dataset(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """The images and labels of a pair of IDX files, one label per image."""
+    images = load_idx_images(images_path)
+    labels = load_idx_labels(labels_path)
+    if images.shape[0] != labels.shape[0]:
+        raise IdxFormatError(f"{images.shape[0]} images vs {labels.shape[0]} labels: files do not pair")
+    return images, labels
 
 
 @dataclass(frozen=True)

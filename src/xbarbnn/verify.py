@@ -1,16 +1,20 @@
 """Exhaustive consistency checks at small sizes: `xbarbnn verify` runs them
 in order and tier-1 runs each as its own test (`tests/test_verify.py`).
 
+Every check returns None when its guarantee holds. Otherwise it returns one
+line that names its first failing case, for example
+`split 8+8 x=1 refs 3: F2 fires where no count cell is a majority at counts (0, 5)`.
+
 Each guarantee a docstring states, and the check in `CHECKS` that proves it:
 
 * F1 sound and F2 complete (`cascade`): `cascade_guarantees`, over every
-  count cell of every `CASCADE_SPLITS` split (`cascade_guarantees_hold`);
-  the census agrees with a raw pair walk on false positives and false
-  negatives apart (`census`).
+  count cell of every `CASCADE_SPLITS` split; the census agrees with a raw
+  pair walk on false positives and false negatives apart, under every
+  policy kind (`census`).
 * AND fires iff every segment's count exceeds its main reference, OR iff
   any does (`cascade`): `and_or_definitions`, from those definitions over
-  every count cell of every `CASCADE_SPLITS` split (`and_or_hold`), so a
-  wrong AND/OR bound table fails it.
+  every count cell of every `CASCADE_SPLITS` split, so a wrong AND/OR bound
+  table fails it.
 * The pixel GEMM is exact (`netio._pixel_dots`, read by `pixel_matmul`):
   `pixel_gemm`, the exact dot where uncentred float32 products would stop
   being exact (514 columns) and at one and two centred blocks;
@@ -26,7 +30,7 @@ Each guarantee a docstring states, and the check in `CHECKS` that proves it:
 * The conv dataflow equals im2col (`dataflow.run_layer`): `dataflow_dots`,
   against the conv GEMM's signed dot, which `conv_gemm` ties to the windows.
 * The closed-form bus words equal the transaction log
-  (`dataflow.streamed_words_per_layer`): `bus_words` (`bus_words_match`).
+  (`dataflow.streamed_words_per_layer`): `bus_words`.
 * A fan-in that fits one segment is sensed as its exact sign bit where
   `netio.CrossbarBackend.reads_majority` says so, and only there, so the
   inference chains may share that layer (`netio._binarized`):
@@ -34,14 +38,13 @@ Each guarantee a docstring states, and the check in `CHECKS` that proves it:
   tie rules.
 
 The other checks tie the batched paths to the scalar model: the xnor and
-popcount identity, the two cascade evaluators on each other
-(`evaluators_agree`), and the batched inference chain against
-`crossbar.layer_forward` (`chain_matches_scalar`).
-Every check returns True when its guarantee holds.
+popcount identity, the two cascade evaluators on each other (`evaluators`),
+and the batched inference chain against `crossbar.layer_forward` (`chain`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -156,79 +159,9 @@ def scalar_intervals(cells: np.ndarray, lengths, refs) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def and_or_hold(lengths, x: int, count: int) -> bool:
-    """Walk every per-segment count cell of one split, a margin outside
-    0..length included: AND fires iff every segment's count exceeds its
-    main reference (half its length), OR iff any does, in both cascade
-    evaluators."""
-    refs = crossbar.ReferenceSet(lengths[0], x, count)
-    cells = count_cells(lengths, 2)
-    above = cells > np.array(lengths) // 2
-    intervals = scalar_intervals(cells, lengths, refs)
-    return all(
-        np.array_equal(cascade.decide_counts(kind, cells.T, lengths, refs), want)
-        and np.array_equal(cascade.decide_batch(kind, intervals, lengths, refs), want)
-        for kind, want in (("AND", above.all(axis=1)), ("OR", above.any(axis=1)))
-    )
-
-
-def cascade_guarantees_hold(lengths, x: int, count: int) -> bool:
-    """Walk every per-segment count cell of one split: F1 never fires on a
-    non-majority, F2 fires on a readout tuple exactly when one of its count
-    cells is a majority (complete, and no complete rule fires less), and F2
-    fires wherever F1 does."""
-    refs = crossbar.ReferenceSet(lengths[0], x, count)
-    cells = count_cells(lengths, 0)
-    intervals = scalar_intervals(cells, lengths, refs)
-    golden = 2 * cells.sum(axis=1) > sum(lengths)
-    f1 = cascade.decide_batch("F1", intervals, lengths, refs)
-    f2 = cascade.decide_batch("F2", intervals, lengths, refs)
-    key = np.ravel_multi_index(intervals.T, (count + 1,) * len(lengths))
-    some_majority = np.zeros((count + 1) ** len(lengths), dtype=bool)
-    np.logical_or.at(some_majority, key, golden)
-    return not (f1 & ~golden).any() and (f2 == some_majority[key]).all() and not (f1 & ~f2).any()
-
-
-def evaluators_agree(lengths, x: int, count: int, cells: np.ndarray) -> bool:
-    """`cascade.decide_counts` on the count cells, as int64 and as float32,
-    against `cascade.decide_batch` on their scalar `sa_read` intervals, for
-    every policy kind."""
-    refs = crossbar.ReferenceSet(lengths[0], x, count)
-    intervals = scalar_intervals(cells, lengths, refs)
-    return all(
-        np.array_equal(
-            cascade.decide_counts(kind, cells.T.astype(dtype), lengths, refs),
-            cascade.decide_batch(kind, intervals, lengths, refs),
-        )
-        for kind in cascade.POLICY_KINDS
-        for dtype in (np.int64, np.float32)
-    )
-
-
-def chain_matches_scalar(rows: int, fan_in: int, kind: str, count: int, x: int, rng) -> bool:
-    """`netio._fc_bits_crossbar` on the segment popcounts of random bit
-    matrices (48 inputs, 7 neurons: one lane holds a single row) gives
-    uint8 bits equal to `crossbar.layer_forward` per (input row, neuron)."""
-    cfg = crossbar.CrossbarConfig(rows, rows)
-    lengths = crossbar.segment_lengths(fan_in, rows)
-    refs = crossbar.ReferenceSet(lengths[0], x, count)
-    a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
-    w = rng.integers(0, 2, (7, fan_in), dtype=np.uint8)
-    backend = netio.CrossbarBackend(cfg, refs, kind)
-    with netio._workspace().frame():
-        got = netio._fc_bits_crossbar(netio._segment_counts(a, w, lengths), lengths, backend)
-    policy = cascade.CascadePolicy(kind, refs)
-    groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
-    want = [
-        [crossbar.layer_forward(bincore.BinaryTensor.from_bits(row), g, refs, policy) for g in groups]
-        for row in a
-    ]
-    return got.dtype == np.uint8 and np.array_equal(got, want)
-
-
 def raw_pair_loss(nu: int, kind: str, x: int = 0, count: int = 1) -> tuple[int, int]:
-    """Oracle: (false positives, false negatives) of AND, OR or F1 on two
-    equal halves, over every (A, B) pair walked as integers with numpy,
+    """Oracle: (false positives, false negatives) of AND, OR, F1 or F2 on
+    two equal halves, over every (A, B) pair walked as integers with numpy,
     segment counts taken bit by bit, the policy spelled out in place."""
     seg = nu // 2
     vals = np.arange(1 << nu, dtype=np.uint32)
@@ -238,36 +171,58 @@ def raw_pair_loss(nu: int, kind: str, x: int = 0, count: int = 1) -> tuple[int, 
     d2 = pop[xnor >> seg]
     golden = 2 * (d1 + d2) > nu
     main = seg // 2
+    levels = np.array([main + j * x for j in range(-(count // 2), count // 2 + 1)])
+    t1, t2 = ((d[..., None] > levels).sum(axis=-1) for d in (d1, d2))  # references below each count
     if kind == "AND":
         out = (d1 > main) & (d2 > main)
     elif kind == "OR":
         out = (d1 > main) | (d2 > main)
-    elif kind == "F1":
-        L = np.array([main + j * x for j in range(-(count // 2), count // 2 + 1)])
-        t1 = (d1[..., None] > L).sum(axis=-1)
-        t2 = (d2[..., None] > L).sum(axis=-1)
-        lo = lambda t: np.where(t >= 1, L[np.clip(t - 1, 0, count - 1)], 0)
-        out = (t1 >= 1) & (t2 >= 1) & (2 * (lo(t1) + lo(t2)) >= nu)
+    elif kind == "F1":  # the highest reference below each count; the bottom interval certifies nothing
+        low = np.append(0, levels)
+        out = (t1 >= 1) & (t2 >= 1) & (2 * (low[t1] + low[t2]) >= nu)
+    elif kind == "F2":  # the lowest reference at or above each count; the half length in the top interval
+        high = np.append(levels, seg)
+        out = 2 * (high[t1] + high[t2]) > nu
     else:
         raise ValueError(kind)
-    fp = int((out & ~golden).sum())
-    fn = int((~out & golden).sum())
-    return fp, fn
+    return int((out & ~golden).sum()), int((~out & golden).sum())
 
 
-def bus_words_match(case, bit_width: int, rng) -> bool:
-    """`dataflow.run_layer` on random bits of one `DATAFLOW_CASES` shape logs
-    the bus words `streamed_words_per_layer` gives, at bus widths 1 (the
-    streamed bits) and 32."""
-    ch, h, w, k, stride, pw = case
-    layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
-    x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
-    kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
-    return all(
-        dataflow.run_layer(x, kernels, None, pw, bit_width, bus, stride)[1].words_streamed
-        == dataflow.streamed_words_per_layer(layer, bit_width, bus, pw)
-        for bus in (1, 32)
-    )
+def _shapes(splits) -> str:
+    return " ".join("+".join(map(str, lengths)) for lengths in splits)
+
+
+def _layout(lengths, x: int, count: int) -> str:
+    return f"split {_shapes([lengths])} x={x} refs {count}"
+
+
+def _conv(case) -> str:
+    return "c{}h{}w{}k{}s{}pw{:d}".format(*case)
+
+
+def _where(cells: np.ndarray, mask: np.ndarray, what: str) -> str | None:
+    """`what` at the first row of `cells` where `mask` holds; None if none."""
+    return f"{what} at counts {tuple(cells[mask.argmax()].tolist())}" if mask.any() else None
+
+
+def _first_diff(got, want) -> str | None:
+    """None when `got` equals `want` in shape and values; otherwise the
+    shapes, or the first index where the values differ and both values."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape:
+        return f"shape {got.shape}, want {want.shape}"
+    at = next(map(tuple, np.argwhere(got != want).tolist()), None)
+    return None if at is None else f"{got[at]} at {at}, want {want[at]}"
+
+
+def _first_failure(cases):
+    """A check from `cases`, a generator of (case, failure) pairs whose
+    failure is None where the case holds: it walks the cases in order and
+    returns the first failing one as `case: failure`, or None."""
+    @functools.wraps(cases)
+    def check() -> str | None:
+        return next((f"{case}: {why}" for case, why in cases() if why), None)
+    return check
 
 
 def _cascade_layouts():
@@ -285,26 +240,28 @@ def _cascade_layouts():
 # ---------------------------------------------------------------- checks
 
 
-def signed_dots(nu_max: int = NU_MAX) -> bool:
+@_first_failure
+def signed_dots():
     """2 * popcount(xnor) - n equals the signed dot on every pair of vectors
-    of every size n up to `nu_max`."""
-    for n in range(1, nu_max + 1):
+    of every size n up to `NU_MAX`; vector v holds bit i of the integer v."""
+    for n in range(1, NU_MAX + 1):
         vals = np.arange(1 << n, dtype=np.uint32)
         bits = ((vals[:, None] >> np.arange(n)) & 1).astype(np.int8)
         signed = bits * 2 - 1
         pops = (bits[:, None, :] == bits[None, :, :]).sum(axis=2)
-        if not (2 * pops - n == signed @ signed.T).all():
-            return False
-    return True
+        yield f"n={n}", _first_diff(2 * pops - n, signed @ signed.T)
 
 
-def worked_example() -> bool:
+@_first_failure
+def worked_example():
     a = bincore.BinaryTensor.from_bits([1, 0, 0, 1])
     b = bincore.BinaryTensor.from_bits([0, 1, 1, 1])
-    return bincore.xnor_popcount_dot(a, b) == -2
+    got = bincore.xnor_popcount_dot(a, b)
+    yield "xnor_popcount_dot(1001, 0111)", None if got == -2 else f"{got}, want -2"
 
 
-def fitting_layers() -> bool:
+@_first_failure
+def fitting_layers():
     """A fan-in that fits one segment is sensed at its main reference alone
     (`netio._fc_bits_crossbar`), and reads the golden sign bit
     (`netio._fc_bits_golden`) at every count exactly where
@@ -320,47 +277,88 @@ def fitting_layers() -> bool:
         sensed = netio._fc_bits_crossbar([counts], (n,), backend)
         for tie_high in (False, True):
             differ = np.flatnonzero(sensed != netio._fc_bits_golden(counts, n, tie_high)).tolist()
-            if differ != ([] if backend.reads_majority(n, tie_high) else [n / 2]):
-                return False
-    return not backend.reads_majority(rows + 1, False)
+            want = [] if backend.reads_majority(n, tie_high) else [n / 2]
+            why = f"crossbar and golden bits differ at counts {differ}, want {want}"
+            yield f"fan-in {n}, ties {'high' if tie_high else 'low'}", None if differ == want else why
+    yield f"fan-in {rows + 1}", "reads the majority" if backend.reads_majority(rows + 1, False) else None
 
 
-def cascade_guarantees() -> bool:
-    return all(cascade_guarantees_hold(*layout) for layout in _cascade_layouts())
+@_first_failure
+def cascade_guarantees():
+    """Walk every per-segment count cell of every admissible layout of every
+    `CASCADE_SPLITS` split: F1 never fires on a non-majority, F2 fires on a
+    readout tuple exactly when one of its count cells is a majority
+    (complete, and no complete rule fires less); so F2 fires wherever F1
+    does."""
+    for lengths, x, count in _cascade_layouts():
+        refs = crossbar.ReferenceSet(lengths[0], x, count)
+        cells = count_cells(lengths, 0)
+        intervals = scalar_intervals(cells, lengths, refs)
+        golden = 2 * cells.sum(axis=1) > sum(lengths)
+        f1 = cascade.decide_batch("F1", intervals, lengths, refs)
+        f2 = cascade.decide_batch("F2", intervals, lengths, refs)
+        key = np.ravel_multi_index(intervals.T, (count + 1,) * len(lengths))
+        some_majority = np.zeros((count + 1) ** len(lengths), dtype=bool)
+        np.logical_or.at(some_majority, key, golden)
+        layout = _layout(lengths, x, count)
+        yield layout, _where(cells, f1 & ~golden, "F1 fires on a non-majority")
+        yield layout, _where(cells, ~f2 & some_majority[key], "F2 misses a readout with a majority count cell")
+        yield layout, _where(cells, f2 & ~some_majority[key], "F2 fires where no count cell is a majority")
 
 
-def and_or_definitions() -> bool:
-    return all(and_or_hold(*layout) for layout in _cascade_layouts())
+@_first_failure
+def and_or_definitions():
+    """Walk every per-segment count cell of every admissible layout of every
+    `CASCADE_SPLITS` split, a margin outside 0..length included: AND fires
+    iff every segment's count exceeds its main reference (half its length),
+    OR iff any does, in both cascade evaluators."""
+    for lengths, x, count in _cascade_layouts():
+        refs = crossbar.ReferenceSet(lengths[0], x, count)
+        cells = count_cells(lengths, 2)
+        above = cells > np.array(lengths) // 2
+        intervals = scalar_intervals(cells, lengths, refs)
+        for kind, want in (("AND", above.all(axis=1)), ("OR", above.any(axis=1))):
+            got = cascade.decide_counts(kind, cells.T, lengths, refs)
+            yield _layout(lengths, x, count), _where(cells, got != want, f"decide_counts' {kind} is wrong")
+            got = cascade.decide_batch(kind, intervals, lengths, refs)
+            yield _layout(lengths, x, count), _where(cells, got != want, f"decide_batch's {kind} is wrong")
 
 
-def evaluators() -> bool:
-    """Every count cell (a margin outside 0..length included) of every
-    cascade split, so every level of every segment length, and mlp-l's
-    splits on random counts around the references."""
+@_first_failure
+def evaluators():
+    """`cascade.decide_counts` on count cells, as int64 and as float32,
+    against `cascade.decide_batch` on their scalar `sa_read` intervals, for
+    every policy kind: every count cell (a margin outside 0..length
+    included) of every cascade split, so every level of every segment
+    length, and mlp-l's splits on random counts around the references."""
     rng = np.random.default_rng(4)
-    return all(
-        evaluators_agree(lengths, x, count, count_cells(lengths, 2)) for lengths, x, count in _cascade_layouts()
-    ) and all(
-        evaluators_agree(lengths, x, count, counts_near_references(lengths, x, count, 100_000, rng))
-        for lengths in MLPL_SPLITS
-        for count in (3, 5)
-        for x in (8, 16)
-    )
+    mlpl = [(lengths, x, count) for lengths in MLPL_SPLITS for count in (3, 5) for x in (8, 16)]
+    for lengths, x, count in _cascade_layouts() + mlpl:
+        near = lengths in MLPL_SPLITS
+        cells = counts_near_references(lengths, x, count, 100_000, rng) if near else count_cells(lengths, 2)
+        refs = crossbar.ReferenceSet(lengths[0], x, count)
+        intervals = scalar_intervals(cells, lengths, refs)
+        for kind in cascade.POLICY_KINDS:
+            want = cascade.decide_batch(kind, intervals, lengths, refs)
+            for dtype in (np.int64, np.float32):
+                got = cascade.decide_counts(kind, cells.T.astype(dtype), lengths, refs)
+                what = f"{kind} on {np.dtype(dtype).name} counts: decide_counts differs from decide_batch"
+                yield _layout(lengths, x, count), _where(cells, got != want, what)
 
 
-def pixel_gemm() -> bool:
+@_first_failure
+def pixel_gemm():
     for fan_in in PIXEL_FAN_INS:
         a = np.full((2, fan_in), 255, np.uint8)
         a[1, ::2] = 0
         w = np.full((3, fan_in), -128, np.int8)
         w[1] = 127
         w[2, 0] = 127  # an odd sum, past 2^24 at 1029: one float32 GEMM would round it
-        if not np.array_equal(pixel_matmul(a, w), a.astype(np.int64) @ w.astype(np.int64).T):
-            return False
-    return True
+        yield f"fan-in {fan_in}", _first_diff(pixel_matmul(a, w), a.astype(np.int64) @ w.astype(np.int64).T)
 
 
-def centred_gemm() -> bool:
+@_first_failure
+def centred_gemm():
     """Pixel rows whose exact dot is -1, 0 or +1 while the centred partial
     sums reach 2^24: x = 0 against w = -128 in every column but the first,
     where x = 1 meets w = d. `_pixel_bits` must fire iff d >= 0 and
@@ -370,15 +368,12 @@ def centred_gemm() -> bool:
         a[0, 0] = 1
         w = np.full((3, fan_in), -128, np.int8)
         w[:, 0] = (-1, 0, 1)
-        if not (
-            np.array_equal(netio._pixel_bits(a, w), [[0, 1, 1]])
-            and np.array_equal(pixel_matmul(a, w), [[-1, 0, 1]])
-        ):
-            return False
-    return True
+        yield f"fan-in {fan_in}, _pixel_bits", _first_diff(netio._pixel_bits(a, w), [[0, 1, 1]])
+        yield f"fan-in {fan_in}, pixel_matmul", _first_diff(pixel_matmul(a, w), [[-1, 0, 1]])
 
 
-def packed_lanes() -> bool:
+@_first_failure
+def packed_lanes():
     """The signed dots 2c - m from the popcounts c of each segment (length
     m) of `netio._segment_counts` against an int64 signed dot over one
     segment and over that segment plus a 7-column one. Seven weight rows,
@@ -398,38 +393,57 @@ def packed_lanes() -> bool:
             bounds = np.cumsum((0,) + lengths)
             with netio._workspace().frame():
                 for c, lo, hi in zip(netio._segment_counts(a, w, lengths), bounds[:-1], bounds[1:]):
-                    if not np.array_equal(2 * c.astype(np.int64) - (hi - lo), sa[:, lo:hi] @ sw[:, lo:hi].T):
-                        return False
-    return True
+                    got, want = 2 * c.astype(np.int64) - (hi - lo), sa[:, lo:hi] @ sw[:, lo:hi].T
+                    yield f"span {m}, segments {lengths}, columns {lo}:{hi}", _first_diff(got, want)
 
 
-def chain() -> bool:
-    """Every split shape k in {1, 2, 3}, unequal tails included, under every
+@_first_failure
+def chain():
+    """`netio._fc_bits_crossbar` on the segment popcounts of random bit
+    matrices (48 inputs, 7 neurons: one lane holds a single row) gives
+    uint8 bits equal to `crossbar.layer_forward` per (input row, neuron),
+    on every split shape k in {1, 2, 3}, unequal tails included, under every
     policy kind."""
     rng = np.random.default_rng(1)
-    return all(
-        chain_matches_scalar(rows, fan_in, kind, count, x, rng)
-        for rows, fan_in in CHAIN_SPLITS
-        for kind in cascade.POLICY_KINDS
-        for count in (3, 5)
-        for x in (1, 2)
-        if admissible(crossbar.segment_lengths(fan_in, rows), x, count)
-    )
+    for rows, fan_in in CHAIN_SPLITS:
+        cfg = crossbar.CrossbarConfig(rows, rows)
+        lengths = crossbar.segment_lengths(fan_in, rows)
+        for kind, count, x in itertools.product(cascade.POLICY_KINDS, (3, 5), (1, 2)):
+            if not admissible(lengths, x, count):
+                continue
+            refs = crossbar.ReferenceSet(lengths[0], x, count)
+            a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
+            w = rng.integers(0, 2, (7, fan_in), dtype=np.uint8)
+            backend = netio.CrossbarBackend(cfg, refs, kind)
+            with netio._workspace().frame():
+                got = netio._fc_bits_crossbar(netio._segment_counts(a, w, lengths), lengths, backend)
+            policy = cascade.CascadePolicy(kind, refs)
+            groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
+            want = [
+                [crossbar.layer_forward(row, g, refs, policy) for g in groups]
+                for row in map(bincore.BinaryTensor.from_bits, a)
+            ]
+            why = f"dtype {got.dtype}, want uint8" if got.dtype != np.uint8 else _first_diff(got, want)
+            yield f"{rows} rows, {kind} {_layout(lengths, x, count)}, (input, neuron) bit", why
 
 
-def census() -> bool:
+@_first_failure
+def census():
     """`cascade.enumerate_loss` against `raw_pair_loss` on two equal halves
-    of 4, 6 and 8 bits; F1 where 3 references fit the halves."""
-    for n, (kind, x, count) in itertools.product((4, 6, 8), (("AND", 0, 1), ("OR", 0, 1), ("F1", 1, 3))):
+    of 4, 6, 8 and 10 bits (10: odd halves, where an F2 that sums interval
+    midpoints misses true majorities); F1 and F2 where 3 references fit the
+    halves."""
+    for n, (kind, x, count) in itertools.product((4, 6, 8, 10), zip(cascade.POLICY_KINDS, (0, 0, 1, 1), (1, 1, 3, 3))):
         if not admissible((n // 2,), x, count):
             continue
         report = cascade.enumerate_loss(n, n // 2, cascade.CascadePolicy(kind, crossbar.ReferenceSet(n // 2, x, count)))
-        if (report.false_positives, report.false_negatives) != raw_pair_loss(n, kind, x, count):
-            return False
-    return True
+        got, want = (report.false_positives, report.false_negatives), raw_pair_loss(n, kind, x, count)
+        why = f"census (false positives, false negatives) {got}, raw walk {want}"
+        yield f"nu={n} {kind} x={x} refs {count}", None if got == want else why
 
 
-def conv_gemm() -> bool:
+@_first_failure
+def conv_gemm():
     """Per segment on one, two and three segments, for bits and for pixels;
     1x1 pixel convs on either side of 514 channels; and a 5x5 pixel conv
     over 45 channels, fan-in 1125, whose output rows sum two centred float32
@@ -440,8 +454,8 @@ def conv_gemm() -> bool:
     every other channel 0 against -128), where one float32 GEMM would
     round; `netio._pixel_bits` must fire iff the dot >= 0."""
     rng = np.random.default_rng(3)
-    ok = True
     for ch, h, w, k, stride in dict.fromkeys(case[:5] for case in DATAFLOW_CASES):
+        name = f"c{ch}h{h}w{w}k{k}s{stride}"
         layer = dataflow.ConvLayer(ch, 5, h, w, k, stride)
         x = rng.integers(0, 2, (2, h, w, ch), dtype=np.uint8)
         kernels = rng.integers(0, 2, (5, layer.fan_in), dtype=np.uint8)
@@ -452,15 +466,17 @@ def conv_gemm() -> bool:
                 for c, lo, hi in zip(netio._segment_counts(x, kernels, lengths, layer), bounds[:-1], bounds[1:]):
                     part = np.zeros(kernels.shape, np.int64)
                     part[:, lo:hi] = 2 * kernels[:, lo:hi].astype(np.int64) - 1
-                    want = window_dots(2 * x.astype(np.int64) - 1, part, layer)
-                    ok &= np.array_equal(2 * c.astype(np.int64) - (hi - lo), want)
+                    got, want = 2 * c.astype(np.int64) - (hi - lo), window_dots(2 * x.astype(np.int64) - 1, part, layer)
+                    yield f"{name} on {rows} rows, columns {lo}:{hi}", _first_diff(got, want)
         pixels = rng.integers(0, 256, (2, h, w, ch), dtype=np.uint8)
         w8 = rng.integers(-128, 128, (5, layer.fan_in), dtype=np.int8)
-        ok &= np.array_equal(pixel_matmul(pixels, w8, layer), window_dots(pixels.astype(np.int64), w8, layer))
+        want = window_dots(pixels.astype(np.int64), w8, layer)
+        yield f"{name} pixels", _first_diff(pixel_matmul(pixels, w8, layer), want)
     for channels in (514, 515):
         layer = dataflow.ConvLayer(channels, 2, 3, 4, 1, binarized=False)
         pixels, w8 = np.full((2, 3, 4, channels), 255, np.uint8), np.full((2, channels), -128, np.int8)
-        ok &= np.array_equal(pixel_matmul(pixels, w8, layer), window_dots(pixels.astype(np.int64), w8, layer))
+        want = window_dots(pixels.astype(np.int64), w8, layer)
+        yield f"1x1 pixel conv over {channels} channels", _first_diff(pixel_matmul(pixels, w8, layer), want)
     layer = dataflow.ConvLayer(45, 3, 6, 7, 5, binarized=False)
     edge = np.zeros((2, 6, 7, 45), np.uint8)
     edge[..., 0] = 1
@@ -468,39 +484,49 @@ def conv_gemm() -> bool:
     edge_w8[:, :25] = 0  # channel 0's columns, in (c, i, j) order
     edge_w8[:, 0] = (-1, 0, 1)
     random = rng.integers(0, 256, edge.shape, dtype=np.uint8), rng.integers(-128, 128, edge_w8.shape, dtype=np.int8)
-    for pixels, w8 in (random, (edge, edge_w8)):
+    for name, (pixels, w8) in (("random", random), ("edge", (edge, edge_w8))):
         want = window_dots(pixels.astype(np.int64), w8, layer)
-        ok &= np.array_equal(pixel_matmul(pixels, w8, layer), want)
-        ok &= np.array_equal(netio._pixel_bits(pixels, w8, layer), want >= 0)
-    return bool(ok and np.array_equal(want, np.tile([-1, 0, 1], (2 * 2 * 3, 1))))  # the edge dots are as planted
+        yield f"5x5 pixel conv, {name} pixels, dots", _first_diff(pixel_matmul(pixels, w8, layer), want)
+        yield f"5x5 pixel conv, {name} pixels, bits", _first_diff(netio._pixel_bits(pixels, w8, layer), want >= 0)
+    yield "5x5 pixel conv, edge dots as planted", _first_diff(want, np.tile([-1, 0, 1], (2 * 2 * 3, 1)))
 
 
-def dataflow_dots() -> bool:
+@_first_failure
+def dataflow_dots():
     """At bus widths 1/32 and bit widths 1/8, which must not change a dot."""
     rng = np.random.default_rng(2)
-    for ch, h, w, k, stride, pw in DATAFLOW_CASES:
+    for case in DATAFLOW_CASES:
+        ch, h, w, k, stride, pw = case
         layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
         x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
         kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
         want = netio._signed_matmul(x.transpose(1, 2, 0)[None], kernels.reshape(layer.out_channels, -1), layer)
         want = want.T.reshape(layer.out_channels, layer.out_h, layer.out_w)
         for bus, bits in itertools.product((1, 32), (1, 8)):
-            if not np.array_equal(dataflow.run_layer(x, kernels, None, pw, bits, bus, stride)[0], want):
-                return False
-    return True
+            got = dataflow.run_layer(x, kernels, None, pw, bits, bus, stride)[0]
+            yield f"{_conv(case)}, bus width {bus}, bit width {bits}", _first_diff(got, want)
 
 
-def bus_words() -> bool:
+@_first_failure
+def bus_words():
+    """`dataflow.run_layer` on random bits of every `DATAFLOW_CASES` shape
+    logs the bus words `streamed_words_per_layer` gives, at bit widths 1 and
+    8 and bus widths 1 (the streamed bits) and 32."""
     rng = np.random.default_rng(2)
-    return all(bus_words_match(case, bits, rng) for case in DATAFLOW_CASES for bits in (1, 8))
-
-
-def _shapes(splits) -> str:
-    return " ".join("+".join(map(str, lengths)) for lengths in splits)
+    for case, bit_width in itertools.product(DATAFLOW_CASES, (1, 8)):
+        ch, h, w, k, stride, pw = case
+        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+        x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
+        kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
+        for bus in (1, 32):
+            logged = dataflow.run_layer(x, kernels, None, pw, bit_width, bus, stride)[1].words_streamed
+            closed = dataflow.streamed_words_per_layer(layer, bit_width, bus, pw)
+            yield (f"{_conv(case)}, bit width {bit_width}, bus width {bus}",
+                   None if logged == closed else f"{logged} words logged, {closed} closed form")
 
 
 CHECKS = (
-    ("xnor/popcount dot == signed dot, exhaustive nu<={nu_max}", signed_dots),
+    (f"xnor/popcount dot == signed dot, exhaustive nu<={NU_MAX}", signed_dots),
     ("worked 4-bit example products -2", worked_example),
     ("fitting layers match the majority rule", fitting_layers),
     (f"F1 sound / F2 complete over all count cells, splits {_shapes(CASCADE_SPLITS)}", cascade_guarantees),
@@ -515,24 +541,22 @@ CHECKS = (
      packed_lanes),
     ("batched crossbar chain == scalar layer_forward, splits "
      f"{_shapes(crossbar.segment_lengths(n, rows) for rows, n in CHAIN_SPLITS)}", chain),
-    ("pair-count census == raw exhaustive walk, false positives and negatives, AND/OR/F1", census),
+    ("pair-count census == raw exhaustive walk, false positives and negatives, AND/OR/F1/F2, nu 4 to 10", census),
     (f"conv band GEMM == int64 per-window dot, dataflow shapes on {' '.join(f'{r} rows' for r in CONV_SPLIT_ROWS)}, "
      "1x1 pixel conv at 514/515 channels, 5x5 pixel conv over 45 channels (two centred blocks)", conv_gemm),
-    ("conv dataflow == conv band GEMM signed dot, "
-     + " ".join("c{}h{}w{}k{}s{}pw{:d}".format(*case) for case in DATAFLOW_CASES), dataflow_dots),
+    ("conv dataflow == conv band GEMM signed dot, " + " ".join(map(_conv, DATAFLOW_CASES)), dataflow_dots),
     ("logged bus words == closed form, bus widths 1/32, bit widths 1/8", bus_words),
 )
 
 
-def run_verification(nu_max: int = NU_MAX, progress=print) -> list[str]:
-    """Run every check in `CHECKS` in order, printing one [ok] or [FAIL]
-    line each; `nu_max` bounds the vector sizes of the signed-dot check.
-    Returns one line per failed check."""
+def run_verification(progress=print) -> list[str]:
+    """Run every check in `CHECKS` in order, printing one [ok] line, or one
+    [FAIL] line that names the check's first failing case, each. Returns one
+    line per failed check: its name, that case and how to reproduce it."""
     failures = []
     for name, check in CHECKS:
-        ok = check(nu_max) if check is signed_dots else check()
-        name = name.format(nu_max=nu_max)
-        progress(f"[{'ok' if ok else 'FAIL'}] {name}")
-        if not ok:
-            failures.append(f"{name}: reproduce with xbarbnn.verify.{check.__name__}()")
+        failure = check()
+        progress(f"[ok] {name}" if failure is None else f"[FAIL] {name}: {failure}")
+        if failure is not None:
+            failures.append(f"{name}: {failure}; reproduce with xbarbnn.verify.{check.__name__}()")
     return failures

@@ -6,15 +6,6 @@ import pytest
 
 from xbarbnn import cascade as cas
 from xbarbnn.crossbar import ReferenceSet, sa_read
-from xbarbnn.verify import (
-    CASCADE_SPLITS,
-    MLPL_SPLITS,
-    admissible,
-    count_cells,
-    counts_near_references,
-    evaluators_agree,
-    raw_pair_loss,
-)
 
 
 def _readouts(refs, seg1, seg2, d1, d2):
@@ -85,21 +76,6 @@ class TestCascadeRules:
         with pytest.raises(ValueError, match="unknown cascade kind 'XOR'"):
             cas.decide_batch("XOR", np.zeros((1, 2), np.uint8), (8, 8), refs)
 
-    def test_three_segment_fold_stays_sound_and_complete(self):
-        # left-to-right bound accumulation over three segments
-        seg, nu = 8, 24
-        refs = ReferenceSet(seg, 2, 3)
-        f1 = cas.CascadePolicy("F1", refs)
-        f2 = cas.CascadePolicy("F2", refs)
-        for d in itertools.product(range(seg + 1), repeat=3):
-            r = [sa_read(v, refs) for v in d]
-            golden = 1 if 2 * sum(d) > nu else 0
-            v1 = cas.cascade(f1, r, [seg] * 3)
-            v2 = cas.cascade(f2, r, [seg] * 3)
-            assert not (v1 == 1 and golden == 0)  # F1 sound
-            assert not (v2 == 0 and golden == 1)  # F2 complete
-            assert v2 >= v1
-
     @pytest.mark.parametrize("kind", ["F1", "F2"])
     @pytest.mark.parametrize("count, small", [(3, np.uint8), (301, np.uint16)])
     def test_bits_do_not_depend_on_interval_dtype_or_layout(self, rng, kind, count, small):
@@ -119,46 +95,6 @@ class TestCascadeRules:
             c_order = intervals.astype(dtype)
             for layout in (c_order, np.ascontiguousarray(c_order.T).T):  # C order, transposed
                 assert np.array_equal(cas.decide_batch(kind, layout, lengths, refs), want)
-
-    def test_unequal_two_way_split_stays_sound_and_complete(self):
-        # 16+12 is the greedy splitter's shape for 28 bits over 16 rows
-        lengths, nu = [16, 12], 28
-        for x in range(1, 6):
-            refs = ReferenceSet(16, x, 3)
-            f1 = cas.CascadePolicy("F1", refs)
-            f2 = cas.CascadePolicy("F2", refs)
-            for d1, d2 in itertools.product(range(17), range(13)):
-                r = _readouts(refs, 16, 12, d1, d2)
-                golden = _golden(d1, d2, nu)
-                v1 = cas.cascade(f1, r, lengths)
-                v2 = cas.cascade(f2, r, lengths)
-                assert not (v1 == 1 and golden == 0), (x, d1, d2)
-                assert not (v2 == 0 and golden == 1), (x, d1, d2)
-
-
-def _distances_fitting(lengths, count):
-    return [x for x in range(1, min(lengths)) if admissible(lengths, x, count)]
-
-
-class TestEvaluatorsAgree:
-    """`decide_counts` (per-level compares on counts) against `decide_batch`
-    (bound tables read at the scalar `sa_read` intervals), one case of the
-    `evaluators` check each."""
-
-    @pytest.mark.parametrize(
-        "lengths, count",
-        [(t, c) for t in CASCADE_SPLITS for c in (3, 5) if _distances_fitting(t, c)],
-        ids=lambda v: "+".join(map(str, v)) if isinstance(v, tuple) else f"refs{v}",
-    )
-    def test_every_count_cell_of_every_cascade_split(self, lengths, count):
-        cells = count_cells(lengths, 2)  # counts two past either end of every segment
-        for x in _distances_fitting(lengths, count):
-            assert evaluators_agree(lengths, x, count, cells), x
-
-    @pytest.mark.parametrize("lengths", MLPL_SPLITS, ids=lambda t: str(sum(t)))
-    @pytest.mark.parametrize("count, x", [(3, 16), (3, 8), (5, 16), (5, 8)])
-    def test_mlpl_splits_on_counts_near_the_references(self, rng, lengths, count, x):
-        assert evaluators_agree(lengths, x, count, counts_near_references(lengths, x, count, 100_000, rng))
 
 
 class TestPolicyBounds:
@@ -273,31 +209,31 @@ class TestEventPredicates:
 
 
 class TestRegionPredicates:
-    def test_examples(self):
-        assert cas.region_predicate_and(1, 4, 8) is True
-        assert cas.region_predicate_and(3, 3, 8) is False
-        assert cas.region_predicate_or(3, 1, 8) is True
-        assert cas.region_predicate_or(2, 2, 8) is False
+    """On an even split, AND mismatches exactly where the pair is a strict
+    majority yet a half is at or below its main reference (floor(nu/4),
+    under the strict comparator), and OR, its mirror, exactly where there is
+    no strict majority yet a half is above it."""
 
     @pytest.mark.parametrize("nu", [8, 10, 12, 16, 20])
     def test_and_or_mismatches_exactly_fill_their_regions(self, nu):
-        seg = nu // 2
+        seg, main = nu // 2, nu // 4
         for d1, d2 in itertools.product(range(seg + 1), repeat=2):
             g = _golden(d1, d2, nu)
+            s2 = 2 * (d1 + d2)
             a = _decide("AND", nu, 0, 1, d1, d2)
             o = _decide("OR", nu, 0, 1, d1, d2)
-            assert (a != g) == cas.region_predicate_and(d1, d2, nu)
-            assert (o != g) == cas.region_predicate_or(d1, d2, nu)
+            assert (a != g) == (s2 > nu and (d1 <= main or d2 <= main)), (nu, d1, d2)
+            assert (o != g) == (s2 <= nu and (d1 > main or d2 > main)), (nu, d1, d2)
 
     def test_region_count_equals_census_mismatches(self):
-        nu, seg = 12, 6
+        nu, seg, main = 12, 6, 3
         pol = cas.CascadePolicy("AND", ReferenceSet(seg))
         report = cas.enumerate_loss(nu, seg, pol)
         weighted = sum(
             cas.pair_count(seg, d1) * cas.pair_count(seg, d2)
             for d1 in range(seg + 1)
             for d2 in range(seg + 1)
-            if cas.region_predicate_and(d1, d2, nu)
+            if 2 * (d1 + d2) > nu and (d1 <= main or d2 <= main)
         )
         assert weighted == report.mismatches
 
@@ -326,22 +262,6 @@ class TestPairCount:
 
 
 class TestEnumerateLoss:
-    @pytest.mark.parametrize("kind", ["AND", "OR"])
-    def test_census_equals_raw_bruteforce_nu8(self, kind):
-        pol = cas.CascadePolicy(kind, ReferenceSet(4))
-        report = cas.enumerate_loss(8, 4, pol)
-        fp, fn = raw_pair_loss(8, kind)
-        total = (1 << 8) ** 2
-        assert (report.false_positives, report.false_negatives) == (fp * total // total, fn)
-        assert report.total_pairs == total
-        assert report.mismatches == fp + fn
-
-    def test_f1_census_equals_raw_bruteforce(self):
-        pol = cas.CascadePolicy("F1", ReferenceSet(4, 1, 3))
-        report = cas.enumerate_loss(8, 4, pol)
-        fp, fn = raw_pair_loss(8, "F1", x=1, count=3)
-        assert (report.false_positives, report.false_negatives) == (fp, fn)
-
     @pytest.mark.parametrize("kind", cas.POLICY_KINDS)
     def test_census_equals_per_cell_big_int_loop(self, kind):
         # nu=64: pair counts reach 2^128, far past int64

@@ -1,8 +1,8 @@
 import pytest
 
-from xbarbnn.verify import CHECKS, NU_MAX
+from xbarbnn.verify import CHECKS
 
 
-@pytest.mark.parametrize("check", [check for _, check in CHECKS], ids=[name.format(nu_max=NU_MAX) for name, _ in CHECKS])
+@pytest.mark.parametrize("check", [check for _, check in CHECKS], ids=[name for name, _ in CHECKS])
 def test_check(check):
-    assert check()
+    assert check() is None
