@@ -397,34 +397,36 @@ def packed_lanes():
                     yield f"span {m}, segments {lengths}, columns {lo}:{hi}", _first_diff(got, want)
 
 
+def chain_case(rows: int, fan_in: int, kind: str, count: int, x: int, rng) -> str | None:
+    """One case of `chain`: `netio._fc_bits_crossbar` on the segment
+    popcounts of random bit matrices (48 inputs, 7 neurons: one lane holds a
+    single row) against `crossbar.layer_forward` per (input row, neuron)."""
+    cfg = crossbar.CrossbarConfig(rows, rows)
+    lengths = crossbar.segment_lengths(fan_in, rows)
+    refs = crossbar.ReferenceSet(lengths[0], x, count)
+    a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
+    w = rng.integers(0, 2, (7, fan_in), dtype=np.uint8)
+    backend = netio.CrossbarBackend(cfg, refs, kind)
+    with netio._workspace().frame():
+        got = netio._fc_bits_crossbar(netio._segment_counts(a, w, lengths), lengths, backend)
+    policy = cascade.CascadePolicy(kind, refs)
+    groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
+    inputs = map(bincore.BinaryTensor.from_bits, a)
+    want = [[crossbar.layer_forward(row, g, refs, policy) for g in groups] for row in inputs]
+    return f"dtype {got.dtype}, want uint8" if got.dtype != np.uint8 else _first_diff(got, want)
+
+
 @_first_failure
 def chain():
-    """`netio._fc_bits_crossbar` on the segment popcounts of random bit
-    matrices (48 inputs, 7 neurons: one lane holds a single row) gives
-    uint8 bits equal to `crossbar.layer_forward` per (input row, neuron),
-    on every split shape k in {1, 2, 3}, unequal tails included, under every
+    """Every split shape k in {1, 2, 3}, unequal tails included, under every
     policy kind."""
     rng = np.random.default_rng(1)
     for rows, fan_in in CHAIN_SPLITS:
-        cfg = crossbar.CrossbarConfig(rows, rows)
         lengths = crossbar.segment_lengths(fan_in, rows)
         for kind, count, x in itertools.product(cascade.POLICY_KINDS, (3, 5), (1, 2)):
-            if not admissible(lengths, x, count):
-                continue
-            refs = crossbar.ReferenceSet(lengths[0], x, count)
-            a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
-            w = rng.integers(0, 2, (7, fan_in), dtype=np.uint8)
-            backend = netio.CrossbarBackend(cfg, refs, kind)
-            with netio._workspace().frame():
-                got = netio._fc_bits_crossbar(netio._segment_counts(a, w, lengths), lengths, backend)
-            policy = cascade.CascadePolicy(kind, refs)
-            groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
-            want = [
-                [crossbar.layer_forward(row, g, refs, policy) for g in groups]
-                for row in map(bincore.BinaryTensor.from_bits, a)
-            ]
-            why = f"dtype {got.dtype}, want uint8" if got.dtype != np.uint8 else _first_diff(got, want)
-            yield f"{rows} rows, {kind} {_layout(lengths, x, count)}, (input, neuron) bit", why
+            if admissible(lengths, x, count):
+                yield (f"{rows} rows, {kind} {_layout(lengths, x, count)}, (input, neuron) bit",
+                       chain_case(rows, fan_in, kind, count, x, rng))
 
 
 @_first_failure
@@ -507,22 +509,27 @@ def dataflow_dots():
             yield f"{_conv(case)}, bus width {bus}, bit width {bits}", _first_diff(got, want)
 
 
+def bus_words_case(case, bit_width: int, rng) -> str | None:
+    """One case of `bus_words`: `dataflow.run_layer` on random bits of one
+    `DATAFLOW_CASES` shape logs the bus words `streamed_words_per_layer`
+    gives, at bus widths 1 (the streamed bits) and 32."""
+    ch, h, w, k, stride, pw = case
+    layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+    x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
+    kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
+    for bus in (1, 32):
+        logged = dataflow.run_layer(x, kernels, None, pw, bit_width, bus, stride)[1].words_streamed
+        closed = dataflow.streamed_words_per_layer(layer, bit_width, bus, pw)
+        if logged != closed:
+            return f"bus width {bus}: {logged} words logged, {closed} closed form"
+
+
 @_first_failure
 def bus_words():
-    """`dataflow.run_layer` on random bits of every `DATAFLOW_CASES` shape
-    logs the bus words `streamed_words_per_layer` gives, at bit widths 1 and
-    8 and bus widths 1 (the streamed bits) and 32."""
+    """Every `DATAFLOW_CASES` shape at bit widths 1 and 8."""
     rng = np.random.default_rng(2)
     for case, bit_width in itertools.product(DATAFLOW_CASES, (1, 8)):
-        ch, h, w, k, stride, pw = case
-        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
-        x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
-        kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
-        for bus in (1, 32):
-            logged = dataflow.run_layer(x, kernels, None, pw, bit_width, bus, stride)[1].words_streamed
-            closed = dataflow.streamed_words_per_layer(layer, bit_width, bus, pw)
-            yield (f"{_conv(case)}, bit width {bit_width}, bus width {bus}",
-                   None if logged == closed else f"{logged} words logged, {closed} closed form")
+        yield f"{_conv(case)}, bit width {bit_width}", bus_words_case(case, bit_width, rng)
 
 
 CHECKS = (

@@ -6,6 +6,7 @@ import pytest
 
 from xbarbnn import cascade as cas
 from xbarbnn.crossbar import ReferenceSet, sa_read
+from xbarbnn.verify import raw_pair_loss
 
 
 def _readouts(refs, seg1, seg2, d1, d2):
@@ -262,6 +263,22 @@ class TestPairCount:
 
 
 class TestEnumerateLoss:
+    @pytest.mark.parametrize("kind", ["AND", "OR"])
+    def test_census_equals_raw_bruteforce_nu8(self, kind):
+        pol = cas.CascadePolicy(kind, ReferenceSet(4))
+        report = cas.enumerate_loss(8, 4, pol)
+        fp, fn = raw_pair_loss(8, kind)
+        total = (1 << 8) ** 2
+        assert (report.false_positives, report.false_negatives) == (fp, fn)
+        assert report.total_pairs == total
+        assert report.mismatches == fp + fn
+
+    def test_f1_census_equals_raw_bruteforce(self):
+        pol = cas.CascadePolicy("F1", ReferenceSet(4, 1, 3))
+        report = cas.enumerate_loss(8, 4, pol)
+        fp, fn = raw_pair_loss(8, "F1", x=1, count=3)
+        assert (report.false_positives, report.false_negatives) == (fp, fn)
+
     @pytest.mark.parametrize("kind", cas.POLICY_KINDS)
     def test_census_equals_per_cell_big_int_loop(self, kind):
         # nu=64: pair counts reach 2^128, far past int64

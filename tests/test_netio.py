@@ -22,7 +22,7 @@ from xbarbnn.netio import (
     parse_topology,
     run_inference,
 )
-from xbarbnn.verify import pixel_matmul, window_dots
+from xbarbnn.verify import chain_case, pixel_matmul, window_dots
 
 
 @pytest.mark.parametrize(
@@ -36,6 +36,13 @@ def test_segment_lengths(n, rows, want):
 def test_segment_lengths_rejects_empty_vector():
     with pytest.raises(ValueError):
         segment_lengths(0, 512)
+
+
+@pytest.mark.parametrize("fan_in", [12, 28, 40])  # 12, 16+12, 16+16+8
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+@pytest.mark.parametrize("count, x", [(3, 2), (5, 1)])
+def test_batched_chain_equals_per_neuron_layer_forward(rng, fan_in, kind, count, x):
+    assert chain_case(16, fan_in, kind, count, x, rng) is None
 
 
 def reshape_max_pool(x: np.ndarray, size: int) -> np.ndarray:
@@ -65,6 +72,14 @@ def test_pixel_gemm_is_exact_above_the_float32_bound(monkeypatch):
     assert int(pixel_matmul(a, w)[0, 0]) == 1
     monkeypatch.setattr(netio, "_FLOAT32_EXACT", 1 << 62)  # one centred float32 GEMM at any fan-in
     assert int(pixel_matmul(a, w)[0, 0]) != 1  # float32 holds no odd integer above 2^24
+
+
+@pytest.mark.parametrize("fan_in", [514, 515])
+def test_pixel_gemm_is_exact_either_side_of_the_uncentred_bound(fan_in):
+    # 255 * 128 * 514 <= 2^24 < 255 * 128 * 515 (255 * 127 * 515 is below it)
+    a = np.full((1, fan_in), 255, np.uint8)
+    w = np.full((1, fan_in), -128, np.int8)
+    assert int(pixel_matmul(a, w)[0, 0]) == -255 * 128 * fan_in
 
 
 def test_run_inference_rejects_images_that_are_not_uint8():
@@ -105,6 +120,14 @@ def test_conv_band_gemm_equals_per_window_reference(rng, c, h, w, k, stride, par
     w8 = rng.integers(-128, 128, (4, layer.fan_in), dtype=np.int8)
     want = window_dots(pixels.astype(np.int64), w8.astype(np.int64), layer)
     assert np.array_equal(pixel_matmul(pixels, w8, layer), want)
+
+
+@pytest.mark.parametrize("channels", [514, 515])
+def test_pixel_conv_is_exact_either_side_of_the_uncentred_bound(channels):
+    # a 1x1 conv: fan-in = channels, 255 * 128 * 514 <= 2^24 < 255 * 128 * 515
+    layer = ConvLayer(channels, 2, 3, 4, 1, binarized=False)
+    got = pixel_matmul(np.full((2, 3, 4, channels), 255, np.uint8), np.full((2, channels), -128, np.int8), layer)
+    assert np.array_equal(got, np.full((2 * 3 * 4, 2), -255 * 128 * channels))
 
 
 def reference_forward(net, weights, images):
