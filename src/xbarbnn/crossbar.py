@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bincore import BinaryTensor, popcount, xnor
+from .bincore import BinaryTensor, _pack, popcount, xnor
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,16 @@ class MappedColumnGroup:
 
 
 def _split_bits(bits: np.ndarray, lengths: tuple[int, ...], pad: int) -> tuple[BinaryTensor, ...]:
-    out, start = [], 0
-    for m in lengths:
-        chunk = np.full(lengths[0], pad, dtype=np.uint8)
-        chunk[:m] = bits[start : start + m]
-        out.append(BinaryTensor.from_bits(chunk))
+    """The segments of logical `lengths` of the 0/1 `bits` of a
+    `BinaryTensor`, each as long as the first, with `pad` past its logical
+    length. The bits come from a tensor, which holds only 0 and 1, so the
+    segments are packed without `BinaryTensor.from_bits`' check."""
+    padded = np.full((len(lengths), lengths[0]), pad, dtype=np.uint8)
+    start = 0
+    for row, m in zip(padded, lengths):
+        row[:m] = bits[start : start + m]
         start += m
-    return tuple(out)
+    return tuple(BinaryTensor((lengths[0],), _pack(row)) for row in padded)
 
 
 def map_weights(w: BinaryTensor, cfg: CrossbarConfig) -> MappedColumnGroup:

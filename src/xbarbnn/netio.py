@@ -17,6 +17,20 @@ compared or decoded into that row of the layer's output before the next
 row's GEMM overwrites it, so no block holds a whole conv GEMM output; an FC
 layer is the one-row case.
 
+A pool that follows a conv runs inside it, so no full-size conv activation
+is allocated. The conv's Toeplitz rows put its windows in column-phase
+order for a p x p pool (`_toeplitz`): each output row's GEMM output then
+holds the pool's p column phases as contiguous slices, and a pooled row is
+the elementwise max over the p slices of p consecutive output rows. The
+pixel layer takes that max of its exact dots; a binarized conv, of its
+golden count sums (`_binarized`). Either is compared once per pooled cell:
+the threshold is per channel, so the compare of the max is the OR of the
+window's bits. The crossbar chain ORs the bits it senses per window. Ragged
+rows and columns are dropped at the pool, as `_pool_or` drops them; a
+binarized conv still senses them, because its mismatch counts every
+unpooled bit. `_pool_or` serves only a pool that follows no conv: one on
+the input, or one after a pool.
+
 Both GEMMs are exact in float32, in any summation order:
 
 * Binarized layers put two +-1 weight rows in one float32 lane,
@@ -406,11 +420,12 @@ class CrossbarBackend:
     def reads_majority(self, n: int, tie_high: bool) -> bool:
         """Whether sensing a binarized layer of fan-in `n` gives its exact
         sign (`_fc_bits_golden`): `n` fits one segment, whose main reference
-        n // 2 is the golden threshold with ties low, and with ties high for
-        odd `n` only. Raises ValueError where sensing it would."""
+        n // 2 is the golden threshold (`_majority`) with ties low, and with
+        ties high for odd `n` only. Raises ValueError where sensing it
+        would."""
         if len(segment_lengths(n, self.config.rows)) > 1:
             return False
-        return self.refs.for_segment(n).main == ((n - 1) // 2 if tie_high else n // 2)
+        return self.refs.for_segment(n).main == _majority(n, tie_high)
 
 
 @dataclass(frozen=True)
@@ -568,29 +583,64 @@ def _rows_per_image(layer) -> int:
     return layer.out_h * layer.out_w if isinstance(layer, ConvLayer) else 1
 
 
-def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pooled(layer, pool: int) -> tuple[int, int]:
+    """(rows, windows per row) of a weight layer's output after a `pool` x
+    `pool` pool, ragged edges dropped: (1, 1) for an FC layer."""
+    return (layer.out_h // pool, layer.out_w // pool) if isinstance(layer, ConvLayer) else (1, 1)
+
+
+def _bands(layer, pool: int, ragged: bool) -> list:
+    """The ranges of output rows that a row block of a weight layer runs at
+    a time: every row without a pool; with one, the `pool` rows of each
+    pooled row. With `ragged`, the last band also takes the rows past the
+    last pooled one, which the pool drops."""
+    rows = _out_rows(layer)
+    if pool == 1:
+        return [range(rows)]
+    cuts = list(range(0, rows // pool * pool + 1, pool))
+    if ragged and cuts[-1] < rows:
+        cuts[-1:] = [rows] if len(cuts) > 1 else [0, rows]
+    return [range(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _pool_band(out: np.ndarray, band: np.ndarray, pool: int, width: int) -> None:
+    """`out` (images, width) = the max over the first `pool` rows of `band`
+    (images, rows, windows x outputs) and the `pool` column phases that
+    lead each row, `width` columns each (`_toeplitz`'s window order)."""
+    _max_into(out, [band[:, i, j * width : (j + 1) * width] for i in range(pool) for j in range(pool)])
+
+
+def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray, pool: int = 1) -> np.ndarray:
     """(O, C*k*k) kernel rows, (c, i, j) order -> `out`, the (ow * O,
-    k * W * C) block-Toeplitz rows of a conv: row (q, o) holds kernel o at
-    the input columns of window q (q*s .. q*s + k - 1) of the k input rows
-    that an output row reads, with exact zeros elsewhere."""
+    k * W * C) block-Toeplitz rows of a conv: row (a, o) holds kernel o at
+    the input columns of the window q at position a (q*s .. q*s + k - 1) of
+    the k input rows that an output row reads, with exact zeros elsewhere.
+    The windows are in column-phase order for a following `pool` x `pool`
+    pool (window order for 1): of the first P = (ow // pool) * pool
+    windows, window q sits at position (q mod pool) * (ow // pool) +
+    q div pool, so each phase's windows are one contiguous block, and the
+    ragged windows past P keep their order after them."""
     k, s, c, o = layer.kernel, layer.stride, layer.in_channels, len(w)
+    per_phase = layer.out_w // pool
+    order = [g * pool + j for j in range(pool) for g in range(per_phase)]
     t = out.reshape(layer.out_w, o, k, layer.input_w, c)
     t[...] = 0
     kernels = w.reshape(o, c, k, k).transpose(0, 2, 3, 1)  # (o, i, j, c)
-    for q in range(layer.out_w):
-        t[q, :, :, q * s : q * s + k] = kernels
+    for a, q in enumerate(order + list(range(len(order), layer.out_w))):
+        t[a, :, :, q * s : q * s + k] = kernels
     return out
 
 
-def _operands(w, spans, layer, dtype, pack=None) -> list:
+def _operands(w, spans, layer, dtype, pack=None, pool=1) -> list:
     """The (N, K) GEMM operand rows of each fan-in span (lo, hi) of `spans`
     for the weight rows `w` (O, fan-in) of a weight layer: the span's
     columns of `w` for an FC layer (N = O, K the span); for a conv (`layer`
     a ConvLayer), the block-Toeplitz rows of the span's kernel columns, zero
-    elsewhere (N = (window, O), K = k * W * C). `pack(rows, lo, hi)` may
-    replace a span's rows by others carved from the workspace. None of them
-    depends on the input rows, so the caller carves them once in its open
-    frame and every row block reads them."""
+    elsewhere (N = (window, O), K = k * W * C), windows in `_toeplitz`'s
+    order for a following `pool`. `pack(rows, lo, hi)` may replace a
+    span's rows by others carved from the workspace. None of them depends
+    on the input rows, so the caller carves them once in its open frame and
+    every row block reads them."""
     if not isinstance(layer, ConvLayer):
         return [w[:, lo:hi] if pack is None else pack(w[:, lo:hi], lo, hi) for lo, hi in spans]
     ws = _workspace()
@@ -601,18 +651,18 @@ def _operands(w, spans, layer, dtype, pack=None) -> list:
     for lo, hi in spans:
         part[...] = 0
         part[:, lo:hi] = w[:, lo:hi]
-        rows = _toeplitz(layer, part, ws.take(shape, dtype) if scratch is None else scratch)
+        rows = _toeplitz(layer, part, ws.take(shape, dtype) if scratch is None else scratch, pool)
         out.append(rows if pack is None else pack(rows, lo, hi))
     return out
 
 
-def _gemms(x, operands, blocks, layer, shift, dtype):
+def _gemms(x, operands, blocks, layer, shift, dtype, rows):
     """Generator of the `dtype` GEMMs of the activations `x` entering a
     weight layer, cast to x - `shift`, against the (N, K) operand rows
     (`_operands`) of each fan-in span of `blocks` (lists of spans, as
-    `_blocks` gives them): for each list, each output row and each span of
-    the list, in that order, one (images, N) workspace view that the next
-    overwrites.
+    `_blocks` gives them): for each list, each output row of the range
+    `rows` and each span of the list, in that order, one (images, N)
+    workspace view that the next overwrites.
 
     An FC layer flattens `x` per image, in the (c, h, w) order of its weight
     columns, and has one output row; each span casts its own columns. A conv
@@ -625,8 +675,8 @@ def _gemms(x, operands, blocks, layer, shift, dtype):
     conv = isinstance(layer, ConvLayer)
     if conv:
         k, s = layer.kernel, layer.stride
-        rows = [x[:, r * s : r * s + k].reshape(len(x), -1) for r in range(layer.out_h)]
-        width = rows[0].shape[1]
+        rows = [x[:, r * s : r * s + k].reshape(len(x), -1) for r in rows]
+        width = k * math.prod(x.shape[2:])
     else:
         if x.ndim == 4:  # NHWC conv activations
             x = x.transpose(0, 3, 1, 2)
@@ -658,11 +708,12 @@ def _blocks(lengths, width: int) -> list:
     return out
 
 
-def _lanes(w_bits: np.ndarray, lengths: tuple[int, ...], layer=None) -> list:
+def _lanes(w_bits: np.ndarray, lengths: tuple[int, ...], layer=None, pool=1) -> list:
     """The packed +-1 GEMM operands of a binarized layer's weight bit rows
     `w_bits` (O, fan-in), one per fan-in span of the segments `lengths` cut
     at `_LANE_SPAN` (see `_segment_counts`), carved from the workspace in
-    the caller's open frame. Of a span's N operand rows (`_operands`), row j
+    the caller's open frame, a conv's windows in `_toeplitz`'s order for a
+    following `pool`. Of a span's N operand rows (`_operands`), row j
     and row H + j (H = ceil(N/2)) share lane j as (2b_j - 1) + B (2b_{H+j} - 1),
     B the smallest power of two above the span length; an odd N leaves row
     H - 1 alone in its lane."""
@@ -689,19 +740,21 @@ def _lanes(w_bits: np.ndarray, lengths: tuple[int, ...], layer=None) -> list:
         return lanes
 
     spans = [span for spans in _blocks(lengths, _LANE_SPAN) for span in spans]
-    return _operands(w, spans, layer, np.float32, pack)
+    return _operands(w, spans, layer, np.float32, pack, pool)
 
 
-def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], layer=None, lanes=None):
+def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...], layer=None, lanes=None, rows=None):
     """Generator of the XNOR popcounts of the bits `x` entering a weight
     layer against its weight bit rows `w_bits` (O, fan-in), one (input
     rows, O) array per fan-in segment of `lengths`, in order, in the
-    narrowest unsigned dtype that holds the longest segment. Each is a
-    workspace view that the next segment overwrites: read it before drawing
-    the next. The caller holds the workspace frame. `lanes` are the layer's
-    packed operands for `lengths` (`_lanes`), which row blocks share; made
-    here when None. Each output row's GEMMs (`_gemms`) are decoded into that
-    row of the counts.
+    narrowest unsigned dtype that holds the longest segment: of a conv,
+    only the output rows of the range `rows` (every row when None), each
+    row's windows in the order of `lanes`. Each is a workspace view that
+    the next segment overwrites: read it before drawing the next. The
+    caller holds the workspace frame. `lanes` are the layer's packed
+    operands for `lengths` (`_lanes`), which row blocks share; made here
+    when None. Each output row's GEMMs (`_gemms`) are decoded into that row
+    of the counts.
 
     The GEMM of a span of length m against the lanes, with the activations
     cast to b - 1/2, gives r = (d_j + B d_{H+j}) / 2 for the signed dots d,
@@ -720,9 +773,10 @@ def _segment_counts(x: np.ndarray, w_bits: np.ndarray, lengths: tuple[int, ...],
     n = len(w_bits) * (layer.out_w if isinstance(layer, ConvLayer) else 1)  # operand rows
     h, p = (n + 1) // 2, n // 2
     dtype = np.min_scalar_type(max(lengths))
-    counts = ws.take((len(x), _out_rows(layer), n), dtype)
+    rows = range(_out_rows(layer)) if rows is None else rows
+    counts = ws.take((len(x), len(rows), n), dtype)
     extra = ws.take((len(x), n), dtype) if max(map(len, blocks)) > 1 else None
-    gemms = _gemms(x, lanes, blocks, layer, 0.5, np.float32)
+    gemms = _gemms(x, lanes, blocks, layer, 0.5, np.float32, rows)
     for spans in blocks:
         for r in range(counts.shape[1]):
             for i, (lo, hi) in enumerate(spans):
@@ -752,11 +806,14 @@ def _signed_matmul(x: np.ndarray, w_bits: np.ndarray, layer=None) -> np.ndarray:
         return 2 * counts.astype(np.int64) - n
 
 
-def _pixel_operands(w: np.ndarray, layer=None) -> tuple:
+def _pixel_operands(w: np.ndarray, layer=None, pool=1) -> tuple:
     """(spans, operand rows per span, threshold) of the non-binarized layer
     with int8 weight rows `w`, its weights cast to float32 once into the
-    workspace in the caller's open frame (see `_pixel_dots`)."""
-    threshold = -128 * w.sum(axis=1, dtype=np.int64)
+    workspace in the caller's open frame (see `_pixel_dots`), a conv's
+    windows in `_toeplitz`'s order for a following `pool`. The weight rows
+    sum exactly in int32, as |sum w| <= 128 * fan-in < 2^31 below the 2^24
+    fan-in that the engine assumes; the threshold is int64."""
+    threshold = -128 * w.sum(axis=1, dtype=np.int32).astype(np.int64)
     spans = _blocks((w.shape[1],), max(1, _FLOAT32_EXACT // (128 * 128)))[0]
     weights = _workspace().take(w.shape)
     np.copyto(weights, w)
@@ -764,16 +821,17 @@ def _pixel_operands(w: np.ndarray, layer=None) -> tuple:
         threshold = np.tile(threshold, layer.out_w)
     if len(spans) == 1:
         threshold = threshold.astype(np.float32)
-    return spans, _operands(weights, spans, layer, np.float32), threshold
+    return spans, _operands(weights, spans, layer, np.float32, None, pool), threshold
 
 
-def _pixel_dots(x: np.ndarray, layer, operands):
+def _pixel_dots(x: np.ndarray, layer, operands, rows=None):
     """Generator of the centred products of the uint8 pixels `x` entering
     the non-binarized layer with its weight rows, one (images, N) workspace
-    view per output row that the next overwrites, N every (window, output)
-    of a conv's row: dot product = dots - threshold, with the spans, rows
-    and per-column threshold of `operands` (`_pixel_operands`), which row
-    blocks share. The layer fires where dots >= threshold.
+    view per output row of the range `rows` (every row when None) that the
+    next overwrites, N every (window, output) of a conv's row: dot product
+    = dots - threshold, with the spans, rows and per-column threshold of
+    `operands` (`_pixel_operands`), which row blocks share. The layer fires
+    where dots >= threshold.
 
     The pixels are centred: dots = sum (x - 128) w and threshold =
     -128 sum w. Each product is then at most 128 * 128 = 2^14 in magnitude,
@@ -783,47 +841,64 @@ def _pixel_dots(x: np.ndarray, layer, operands):
     one exact float32 GEMM, whose output is the dots; wider ones add their
     blocks in float64, exact below 2^53.
     """
-    spans, rows, _ = operands
-    gemms = _gemms(x, rows, [spans], layer, 128.0, np.float32)
+    spans, operand_rows, _ = operands
+    rows = range(_out_rows(layer)) if rows is None else rows
+    gemms = _gemms(x, operand_rows, [spans], layer, 128.0, np.float32, rows)
     if len(spans) == 1:
         yield from gemms
         return
-    dots = _workspace().take((len(x), len(rows[0])), np.float64)
-    for _ in range(_out_rows(layer)):
+    dots = _workspace().take((len(x), len(operand_rows[0])), np.float64)
+    for _ in rows:
         dots[...] = next(gemms)
         for _ in spans[1:]:
             dots += next(gemms)
         yield dots
 
 
-def _pixel_bits(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
+def _pixel_bits(x: np.ndarray, w: np.ndarray, layer=None, pool=1) -> np.ndarray:
     """Activation bits of the non-binarized layer, uint8 (input rows, O):
-    1 where the exact dot product is at least 0. The weight operands are
-    made once; each row block (`_by_rows`) compares each output row's dots
-    into that row of its images' bits."""
-    bits = np.empty((len(x) * _rows_per_image(layer), len(w)), np.uint8)
-    by_row = bits.view(np.bool_).reshape(len(x), _out_rows(layer), -1)
+    1 where the exact dot product is at least 0, OR-pooled over `pool` x
+    `pool` windows of a conv's outputs when a pool follows it, ragged edges
+    dropped as `_pool_or` drops them: one row per (image, pooled cell). The
+    weight operands are made once; each row block (`_by_rows`) runs the
+    output rows that the pool keeps and compares each row's dots, or with a
+    pool the max of the dots over each pooled cell, into that row of its
+    images' bits."""
+    rows, per_row = _pooled(layer, pool)
+    width = per_row * len(w)  # columns of a pooled row: (window, output)
+    bits = np.empty((len(x) * rows * per_row, len(w)), np.uint8)
+    by_row = bits.view(np.bool_).reshape(len(x), rows, width)
 
     def block(lo, hi):
-        with _workspace().frame():
-            for r, dots in enumerate(_pixel_dots(x[lo:hi], layer, operands)):
-                np.greater_equal(dots, operands[-1], out=by_row[lo:hi, r])
+        with _workspace().frame() as ws:
+            spans, _, threshold = operands
+            peak = ws.take((hi - lo, width), np.float32 if len(spans) == 1 else np.float64) if pool > 1 else None
+            for r, dots in enumerate(_pixel_dots(x[lo:hi], layer, operands, range(rows * pool))):
+                if pool > 1:  # the max over the row's column phases and the rows before it in the pooled row
+                    phases = [dots[:, j * width : (j + 1) * width] for j in range(pool)]
+                    _max_into(peak, [peak] + phases if r % pool else phases)
+                    dots = peak
+                if r % pool == pool - 1:
+                    np.greater_equal(dots, threshold[:width], out=by_row[lo:hi, r // pool])
 
     with _workspace().frame():
-        operands = _pixel_operands(w, layer)
+        operands = _pixel_operands(w, layer, pool)
         _by_rows(block, len(x))
     return bits
+
+
+def _majority(fan_in: int, tie_high: bool) -> int:
+    """The popcount above which a binary layer's exact sign fires: more
+    than fan_in / 2, or at least half with `tie_high`."""
+    return (fan_in - 1) // 2 if tie_high else fan_in // 2
 
 
 def _fc_bits_golden(counts: np.ndarray, fan_in: int, tie_high: bool, out=None) -> np.ndarray:
     """Exact sign activation of a binary layer from its XNOR popcounts over
     the whole fan-in, of any dtype holding integers: 1 where they are a
-    majority, more than fan_in / 2 (at least half with `tie_high`). Written
-    into the uint8 `out` when given."""
+    majority, above `_majority`. Written into the uint8 `out` when given."""
     out = None if out is None else out.view(np.bool_)
-    if tie_high:
-        return np.greater_equal(counts, (fan_in + 1) // 2, out=out).view(np.uint8)
-    return np.greater(counts, fan_in // 2, out=out).view(np.uint8)
+    return np.greater(counts, _majority(fan_in, tie_high), out=out).view(np.uint8)
 
 
 def _fc_bits_crossbar(counts, lengths: tuple[int, ...], backend: CrossbarBackend, out=None) -> np.ndarray:
@@ -845,7 +920,10 @@ def _fc_bits_crossbar(counts, lengths: tuple[int, ...], backend: CrossbarBackend
 
 def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
     """Max over non-overlapping size x size windows of NHWC (B, H, W, C),
-    ragged edges dropped: the OR of bits, the max of pixels. Each row block
+    ragged edges dropped: the OR of bits, the max of pixels. It serves only
+    a pool that follows no conv (one on the input, or one after a pool); a
+    pool after a conv runs inside the conv (`_pixel_bits`, `_binarized`),
+    and equals this over the conv's unpooled output. Each row block
     (`_by_rows`) takes its maxima in place over strided slices: first the
     rows into one scratch array, then its columns into its rows of the
     output. (The rows go first because their slices keep whole W x C rows
@@ -875,12 +953,12 @@ def _max_into(out: np.ndarray, parts: list) -> None:
         np.maximum(out, part, out=out)
 
 
-def _activation(layer, bits: np.ndarray, batch: int) -> np.ndarray:
+def _activation(layer, bits: np.ndarray, batch: int, pool: int = 1) -> np.ndarray:
     """Activation tensor of a weight layer from its (input rows, outputs)
     bits: NHWC (B, oh, ow, O) for a conv, a plain reshape of its
-    (image, window) rows."""
+    (image, window) rows, of its pooled cells with a `pool` after it."""
     if isinstance(layer, ConvLayer):
-        bits = bits.reshape(batch, layer.out_h, layer.out_w, layer.out_channels)
+        bits = bits.reshape(batch, *_pooled(layer, pool), layer.out_channels)
     return np.ascontiguousarray(bits, dtype=np.uint8)
 
 
@@ -893,64 +971,125 @@ def _each(f, golden, crossbar):
     return f(golden), None if crossbar is None else f(crossbar)
 
 
-def _binarized(layer, w, golden, crossbar, backend, tie_high):
-    """Both chains' activations of a binarized layer that is not the last.
+def _binarized(layer, w, golden, crossbar, backend, tie_high, pool=1):
+    """Both chains' activations of a binarized layer that is not the last,
+    OR-pooled over `pool` x `pool` windows of a conv's outputs when a pool
+    follows it (ragged edges dropped, as `_pool_or` drops them), and the
+    count of its unpooled activation bits in which the chains differ.
+
     On a shared input that the backend senses exactly
     (`CrossbarBackend.reads_majority`), the golden bits serve both chains.
     Otherwise the layer's lanes (`_lanes`) over the crossbar split, or over
     the whole fan-in for the golden backend, are packed once for both chains
-    and every row block. Each distinct input's per-segment popcounts are computed
-    once per block: their sum over the segments gives the golden bits, and
-    the crossbar chain senses them. While the chains share their input,
-    that is one pass for both; otherwise the golden chain's pass ends before
-    the crossbar chain's starts, so the workspace holds one chain's counts
-    at a time."""
-    if crossbar is golden and backend.reads_majority(layer.fan_in, tie_high):
-        golden, _ = _binarized(layer, w, golden, None, backend, tie_high)
-        return golden, golden
-    n, per = layer.fan_in, _rows_per_image(layer)
+    and every row block. A row block runs its output rows in bands
+    (`_bands`): all of them, or with a pool the rows of one pooled row, and
+    the ragged rows too while a crossbar chain counts its mismatch. Each
+    distinct input's per-segment popcounts of a band are computed once:
+    their sum over the segments gives the golden bits, and the crossbar
+    chain senses them. While the chains share their input, that is one pass
+    for both; otherwise the golden chain's pass ends before the crossbar
+    chain's starts, so the workspace holds one chain's counts at a time.
+    With a pool, the golden chain keeps the max of its count sums over each
+    pooled cell and compares it once per block, and the crossbar chain ORs
+    its sensed bits; a band's unpooled golden bits are kept only to count
+    the mismatch."""
+    shared = crossbar is golden and backend.reads_majority(layer.fan_in, tie_high)
+    if shared:
+        crossbar = None
+    n, o = layer.fan_in, len(w)
     lengths = segment_lengths(n, backend.config.rows) if crossbar is not None else (n,)
-    golden_bits = np.empty((len(golden) * per, len(w)), np.uint8)
+    rows, per_row = _pooled(layer, pool)
+    golden_bits = np.empty((len(golden), rows, per_row * o), np.uint8)
     crossbar_bits = None if crossbar is None else np.empty_like(golden_bits)
+    bands = _bands(layer, pool, crossbar is not None)
+    windows = _rows_per_image(layer) // _out_rows(layer)  # per output row
+    wrong = []  # per row block
+
+    def sense(counts, out):  # the crossbar chain's bits, into `out`
+        out = out.reshape(-1, o)
+        np.copyto(out, _fc_bits_crossbar(counts, lengths, backend, out))  # a no-op when written in place
+
+    def golden_pass(x, band, sensed):
+        """The golden count sums of the band (images, rows, windows x O), and
+        the crossbar chain's bits of the same counts into `sensed`."""
+        ws = _workspace()
+        # the golden count sums, in the narrowest unsigned type that holds n
+        total = ws.take((len(x) * len(band) * windows, o), np.min_scalar_type(n)) if len(lengths) > 1 else None
+
+        def summed(counts):  # each segment's counts, added into the golden total as they pass
+            nonlocal total
+            for i, c in enumerate(counts):
+                if total is None:  # one segment: its counts are the total
+                    total = c
+                elif i:
+                    np.add(total, c, out=total)
+                else:
+                    np.copyto(total, c)
+                yield c
+
+        counts = summed(_segment_counts(x, w, lengths, layer, lanes, band))
+        if sensed is None:
+            for _ in counts:
+                pass
+        else:
+            sense(counts, sensed)
+        return total.reshape(len(x), len(band), -1)
 
     def block(lo, hi):
-        rows = slice(lo * per, hi * per)
+        golden_out = golden_bits[lo:hi]
+        crossbar_out = None if crossbar is None else crossbar_bits[lo:hi]
+        differ = 0
         with _workspace().frame() as ws:
-            # the golden count sums, in the narrowest unsigned type that holds n
-            total = ws.take(golden_bits[rows].shape, np.min_scalar_type(n)) if len(lengths) > 1 else None
-
-            def summed(counts):  # each segment's counts, added into the golden total as they pass
-                nonlocal total
-                for i, c in enumerate(counts):
-                    if total is None:  # one segment: its counts are the total
-                        total = c
-                    elif i:
-                        np.add(total, c, out=total)
-                    else:
-                        np.copyto(total, c)
-                    yield c
-
-            # each store below keeps the returned bits: a no-op when they were written in place
-            counts = summed(_segment_counts(golden[lo:hi], w, lengths, layer, lanes))
-            if crossbar is golden:
-                out = crossbar_bits[rows]
-                np.copyto(out, _fc_bits_crossbar(counts, lengths, backend, out))
-            else:
-                for _ in counts:
-                    pass
-            out = golden_bits[rows]
-            np.copyto(out, _fc_bits_golden(total, n, tie_high, out))
-        if crossbar is not None and crossbar is not golden:
-            with _workspace().frame():
-                counts = _segment_counts(crossbar[lo:hi], w, lengths, layer, lanes)
-                out = crossbar_bits[rows]
-                np.copyto(out, _fc_bits_crossbar(counts, lengths, backend, out))
+            # with a pool, the max golden count sum of each pooled cell
+            peak = ws.take(golden_out.shape, np.min_scalar_type(n)) if pool > 1 else None
+            for i, band in enumerate(bands):
+                with ws.frame():
+                    if pool == 1:  # the band is every row of the output
+                        g, c = golden_out, crossbar_out
+                    else:  # the band's unpooled bits, while a crossbar chain needs them
+                        shape = (hi - lo, len(band), windows * o)
+                        g, c = (None if crossbar is None else ws.take(shape, np.uint8) for _ in range(2))
+                    with ws.frame():
+                        total = golden_pass(golden[lo:hi], band, c if crossbar is golden else None)
+                        if pool == 1:
+                            np.copyto(g, _fc_bits_golden(total, n, tie_high, g))
+                        else:
+                            if i < rows:
+                                _pool_band(peak[:, i], total, pool, per_row * o)
+                            if g is not None:
+                                np.greater(total, _majority(n, tie_high), out=g.view(np.bool_))
+                    if crossbar is not None and crossbar is not golden:
+                        with ws.frame():
+                            sense(_segment_counts(crossbar[lo:hi], w, lengths, layer, lanes, band), c)
+                    if c is not None:
+                        if pool > 1 and i < rows:
+                            _pool_band(crossbar_out[:, i], c, pool, per_row * o)
+                        differ += int(np.count_nonzero(np.not_equal(g, c, out=ws.take(g.shape, np.bool_))))
+            if pool > 1:
+                np.copyto(golden_out, _fc_bits_golden(peak, n, tie_high, golden_out))
+        wrong.append(differ)
 
     with _workspace().frame():
-        lanes = _lanes(w, lengths, layer)
+        lanes = _lanes(w, lengths, layer, pool)
         _by_rows(block, len(golden))
-    crossbar_act = None if crossbar is None else _activation(layer, crossbar_bits, len(golden))
-    return _activation(layer, golden_bits, len(golden)), crossbar_act
+    golden_act = _activation(layer, golden_bits.reshape(-1, o), len(golden), pool)
+    if shared:
+        return golden_act, golden_act, 0
+    crossbar_act = None if crossbar is None else _activation(layer, crossbar_bits.reshape(-1, o), len(golden), pool)
+    return golden_act, crossbar_act, sum(wrong)
+
+
+def _steps(layers) -> list:
+    """(layer, pool) for each layer of `layers` that runs on its own: a pool
+    that follows a conv runs inside it, as the conv's `pool`; every other
+    layer has pool 1, a pool that follows no conv included."""
+    steps = []
+    for layer in layers:
+        if isinstance(layer, PoolLayer) and steps and isinstance(steps[-1][0], ConvLayer) and steps[-1][1] == 1:
+            steps[-1] = (steps[-1][0], layer.size)
+        else:
+            steps.append((layer, 1))
+    return steps
 
 
 # Images per pass through the chains: bounds peak memory for any dataset size.
@@ -976,8 +1115,11 @@ def run_inference(
     exact sign (`CrossbarBackend.reads_majority`), and the final scores. The
     next binarized layer's per-segment popcounts are computed once too; the
     crossbar chain senses them, their sum gives the golden bits, and the
-    chains diverge there. A layer whose two outputs are the same object
-    counts 0 mismatch without a compare; the golden backend carries no
+    chains diverge there. A pool that follows a conv runs inside it
+    (`_steps`). A layer's mismatch counts its unpooled bits: a binarized
+    layer counts them in its row blocks, and a layer whose two outputs are
+    the same object counts 0 without a compare (the pixel layer, first of
+    the weight layers, always does); the golden backend carries no
     crossbar tensor. The net must end in an FC layer (a conv scores each
     window, not each image). Images pass in chunks of `_CHUNK`; integer
     counts are summed over chunks and divided once, so the report does not
@@ -1004,20 +1146,23 @@ def run_inference(
         golden = images[lo : lo + _CHUNK]
         crossbar = None if backend == "golden" else golden
         i = 0  # weight layer index
-        for layer in net.layers:
+        for layer, pool in _steps(net.layers):
             if isinstance(layer, PoolLayer):
                 golden, crossbar = _each(lambda x: _pool_or(x, layer.size), golden, crossbar)
                 continue
             w = weights.arrays[i].reshape(layer.weight_shape[0], -1)
+            wrong = 0
             if not layer.binarized:
-                golden, crossbar = _each(lambda x: _activation(layer, _pixel_bits(x, w, layer), len(x)), golden, crossbar)
+                golden, crossbar = _each(
+                    lambda x: _activation(layer, _pixel_bits(x, w, layer, pool), len(x), pool), golden, crossbar
+                )
             elif i < acts:
-                golden, crossbar = _binarized(layer, w, golden, crossbar, backend, tie_high)
+                golden, crossbar, wrong = _binarized(layer, w, golden, crossbar, backend, tie_high, pool)
             else:  # raw class scores, no thresholding
                 golden, crossbar = _each(lambda x: _signed_matmul(x, w, layer), golden, crossbar)
             if i < acts and crossbar is not None:
-                mismatched[i] += 0 if crossbar is golden else int((golden != crossbar).sum())
-                total[i] += golden.size
+                mismatched[i] += wrong
+                total[i] += len(golden) * _rows_per_image(layer) * len(w)
             i += 1
         chunk_labels = labels[lo : lo + _CHUNK]
         g, c = _each(lambda scores: int((scores.argmax(axis=1) == chunk_labels).sum()), golden, crossbar)

@@ -27,6 +27,10 @@ Each guarantee a docstring states, and the check in `CHECKS` that proves it:
   conv): `conv_gemm`, against an int64 dot per window (`window_dots`) on
   one, two and three segments, and a pixel conv of two centred blocks per
   output row, whose bits `netio._pixel_bits` must fire iff that dot >= 0.
+* A pool that follows a conv runs inside it and equals `_pool_or` over the
+  unfused conv, with the same mismatch count (`netio`): `conv_pool`, on the
+  `POOL_CASES` shapes at pools 2 and 3, ragged edges included, for the pixel
+  conv and a binarized conv under the golden, 512-row and 16-row backends.
 * The conv dataflow equals im2col (`dataflow.run_layer`): `dataflow_dots`,
   against the conv GEMM's signed dot, which `conv_gemm` ties to the windows.
 * The closed-form bus words equal the transaction log
@@ -74,6 +78,20 @@ DATAFLOW_CASES = (
     (3, 9, 11, 3, 1, False), (3, 9, 10, 3, 1, False), (3, 11, 11, 3, 2, False), (3, 11, 13, 3, 2, False),
     (3, 9, 11, 3, 1, True), (3, 9, 10, 3, 1, True), (2, 5, 3, 3, 1, True),
 )
+
+# (channels, height, width, kernel, stride) of the engine's conv checks: H != W;
+# a 1x1 kernel; kernels as tall as the input (oh = 1) and as large as it (one
+# window); stride 2 with a leftover row and column
+CONV_CASES = (
+    (1, 7, 9, 1, 1), (3, 7, 9, 3, 1), (3, 9, 7, 5, 1), (3, 5, 8, 5, 1), (1, 5, 5, 5, 1),
+    (3, 10, 12, 3, 2), (1, 8, 6, 5, 2),
+)
+
+# a pool runs inside the conv before it (`conv_pool`): at each size, every
+# CONV_CASES output leaves ragged rows or columns, or pools none of them; the
+# 6x6 output of the last case pools whole at both
+POOL_CASES = CONV_CASES + ((2, 8, 8, 3, 1),)
+POOL_SIZES = (2, 3)
 
 # array rows for the conv GEMM check: every DATAFLOW_CASES fan-in (27, 18)
 # in one segment, in two unequal ones (16+11, 16+2) and in up to three
@@ -197,7 +215,8 @@ def _layout(lengths, x: int, count: int) -> str:
 
 
 def _conv(case) -> str:
-    return "c{}h{}w{}k{}s{}pw{:d}".format(*case)
+    """A conv case's name, with parallel_window when the case has one."""
+    return "c{}h{}w{}k{}s{}".format(*case[:5]) + "".join(f"pw{pw:d}" for pw in case[5:])
 
 
 def _where(cells: np.ndarray, mask: np.ndarray, what: str) -> str | None:
@@ -494,6 +513,52 @@ def conv_gemm():
 
 
 @_first_failure
+def conv_pool():
+    """A pool that follows a conv runs inside it (`netio._pixel_bits` and
+    `netio._binarized` with `pool`): its pooled bits equal `netio._pool_or`
+    over the unfused layer's bits, and its mismatch count equals the unfused
+    layer's, which equals the count of unpooled bits in which the chains
+    differ. Every `POOL_CASES` shape at every `POOL_SIZES` size, ragged
+    rows and columns included: the pixel conv, and a binarized conv over 4
+    channels (so that every fan-in can be sensed) under the golden backend,
+    on 512 rows (the shared exact readout, or sensing with ties high) and on
+    16 rows (fan-ins 4, 36 = 16+16+4 and 100 = 6x16+4), with the chains
+    sharing their input or not, ties low and high."""
+    rng = np.random.default_rng(6)
+    refs = crossbar.ReferenceSet(16, 1, 3)
+    backends = {
+        "golden": "golden",
+        "512 rows": netio.CrossbarBackend(crossbar.CrossbarConfig(), refs),
+        "16 rows": netio.CrossbarBackend(crossbar.CrossbarConfig(16, 16), refs),
+    }
+    for (ch, h, w, k, stride), pool in itertools.product(POOL_CASES, POOL_SIZES):
+        name = f"{_conv((ch, h, w, k, stride))} pool {pool}"
+        layer = dataflow.ConvLayer(ch, 5, h, w, k, stride, binarized=False)
+        pixels = rng.integers(0, 256, (3, h, w, ch), dtype=np.uint8)
+        w8 = rng.integers(-128, 128, (5, layer.fan_in), dtype=np.int8)
+        unfused = netio._activation(layer, netio._pixel_bits(pixels, w8, layer), len(pixels))
+        fused = netio._activation(layer, netio._pixel_bits(pixels, w8, layer, pool), len(pixels), pool)
+        yield f"{name}, pixel conv", _first_diff(fused, netio._pool_or(unfused, pool))
+        layer = dataflow.ConvLayer(4, 5, h, w, k, stride)
+        bits = rng.integers(0, 2, (3, h, w, 4), dtype=np.uint8)
+        apart = bits ^ (rng.random(bits.shape) < 0.2)  # the crossbar chain's input, 20% of it flipped
+        kernels = rng.integers(0, 2, (5, layer.fan_in), dtype=np.uint8)
+        for (label, backend), inputs, tie_high in itertools.product(backends.items(), ("shared", "apart"), (False, True)):
+            if backend == "golden" and inputs == "apart":
+                continue
+            other = None if backend == "golden" else bits if inputs == "shared" else apart
+            case = f"{name}, binarized conv, {label}, inputs {inputs}, ties {'high' if tie_high else 'low'}"
+            golden, sensed, wrong = netio._binarized(layer, kernels, bits, other, backend, tie_high)
+            got = netio._binarized(layer, kernels, bits, other, backend, tie_high, pool)
+            yield f"{case}, golden bits", _first_diff(got[0], netio._pool_or(golden, pool))
+            if other is not None:
+                yield f"{case}, crossbar bits", _first_diff(got[1], netio._pool_or(sensed, pool))
+                differ = int(np.count_nonzero(golden != sensed))
+                yield f"{case}, unfused mismatch", None if wrong == differ else f"{wrong}, want {differ} differing bits"
+            yield f"{case}, mismatch", None if got[2] == wrong else f"{got[2]}, want the unfused {wrong}"
+
+
+@_first_failure
 def dataflow_dots():
     """At bus widths 1/32 and bit widths 1/8, which must not change a dot."""
     rng = np.random.default_rng(2)
@@ -551,6 +616,8 @@ CHECKS = (
     ("pair-count census == raw exhaustive walk, false positives and negatives, AND/OR/F1/F2, nu 4 to 10", census),
     (f"conv band GEMM == int64 per-window dot, dataflow shapes on {' '.join(f'{r} rows' for r in CONV_SPLIT_ROWS)}, "
      "1x1 pixel conv at 514/515 channels, 5x5 pixel conv over 45 channels (two centred blocks)", conv_gemm),
+    (f"conv with the pool inside == _pool_or of the unfused conv, bits and mismatch, pools {POOL_SIZES}, "
+     "pixel and binarized convs, golden/512-row/16-row backends, " + " ".join(map(_conv, POOL_CASES)), conv_pool),
     ("conv dataflow == conv band GEMM signed dot, " + " ".join(map(_conv, DATAFLOW_CASES)), dataflow_dots),
     ("logged bus words == closed form, bus widths 1/32, bit widths 1/8", bus_words),
 )

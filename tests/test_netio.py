@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import sys
 import threading
@@ -7,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xbarbnn.cascade import POLICY_KINDS
-from xbarbnn.crossbar import CrossbarConfig, ReferenceSet, segment_lengths
+from xbarbnn.bincore import BinaryTensor
+from xbarbnn.cascade import POLICY_KINDS, CascadePolicy
+from xbarbnn.crossbar import CrossbarConfig, ReferenceSet, layer_forward, map_weights, segment_lengths
 from xbarbnn import netio
 from xbarbnn.netio import (
     ConvLayer,
@@ -22,7 +24,7 @@ from xbarbnn.netio import (
     parse_topology,
     run_inference,
 )
-from xbarbnn.verify import chain_case, pixel_matmul, window_dots
+from xbarbnn.verify import CONV_CASES, chain_case, pixel_matmul, window_dots
 
 
 @pytest.mark.parametrize(
@@ -87,13 +89,6 @@ def test_run_inference_rejects_images_that_are_not_uint8():
     images = np.full((1, 28, 28), 255, np.int64)
     with pytest.raises(ValueError, match="images are int64; the pixel layer takes uint8"):
         run_inference(net, WeightContainer.random(net, 1), images, np.zeros(1, np.uint8))
-
-
-# (channels, height, width, kernel, stride): H != W; a 1x1 kernel; kernels
-# as tall as the input (oh = 1) and as large as it (one window); stride 2
-# with a leftover row and column
-CONV_CASES = [(1, 7, 9, 1, 1), (3, 7, 9, 3, 1), (3, 9, 7, 5, 1), (3, 5, 8, 5, 1), (1, 5, 5, 5, 1),
-              (3, 10, 12, 3, 2), (1, 8, 6, 5, 2)]
 
 
 @pytest.mark.parametrize(
@@ -161,6 +156,31 @@ def reference_forward(net, weights, images):
     raise AssertionError("network ends in a pool")
 
 
+def pools_after(net):
+    """The size of the pool right after each weight layer of `net`; 1 where
+    none follows."""
+    layers = net.layers
+    return [
+        layers[j + 1].size if j + 1 < len(layers) and isinstance(layers[j + 1], PoolLayer) else 1
+        for j, layer in enumerate(layers)
+        if not isinstance(layer, PoolLayer)
+    ]
+
+
+def sensed_conv(x, w_bits, layer, backend):
+    """The crossbar chain's bits of a binarized conv on the bits `x`
+    (B, C, H, W), from the scalar model (`crossbar.layer_forward`) per
+    window and kernel: (B, O, oh, ow)."""
+    policy = CascadePolicy(backend.policy_kind, backend.refs)
+    groups = [map_weights(BinaryTensor.from_bits(row), backend.config) for row in w_bits.reshape(len(w_bits), -1)]
+    k, s = layer.kernel, layer.stride
+    out = np.empty((len(x), len(groups), layer.out_h, layer.out_w), np.uint8)
+    for b, r, q in itertools.product(range(len(x)), range(layer.out_h), range(layer.out_w)):
+        window = BinaryTensor.from_bits(x[b, :, r * s : r * s + k, q * s : q * s + k].ravel())
+        out[b, :, r, q] = [layer_forward(window, g, backend.refs, policy) for g in groups]
+    return out
+
+
 SMALL_CONV_NET = parse_topology("3x3,4 - 2x2 Pool - 3x3,4 - 2x2 Pool - FC(10)", input_h=12, input_w=12)
 # stride 2, which the topology grammar cannot express: 12x12 -> 5x5 -> 2x2,
 # the last input row and column in no window
@@ -168,25 +188,36 @@ STRIDE_2_NET = NetworkSpec(
     "stride-2", 1, 12, 12,
     (ConvLayer(1, 4, 12, 12, 3, 2, binarized=False), ConvLayer(4, 6, 5, 5, 3, 2), FCLayer(24, 10)),
 )
+# a 3x3 pool inside the pixel conv drops the last row and column of its
+# 10x10 output; the only binarized layer gives the scores
+PIXEL_POOL_NET = parse_topology("3x3,4 - 3x3 Pool - FC(10)", input_h=12, input_w=12)
+SMALL_NETS = {"": SMALL_CONV_NET, "-stride-2": STRIDE_2_NET, "-pixel-pool-3": PIXEL_POOL_NET}
+SMALL_BACKENDS = ("golden", "crossbar", "crossbar-16-rows")
 
 
 @pytest.mark.parametrize(
     "backend, net",
-    [(b, n) for n in (SMALL_CONV_NET, STRIDE_2_NET) for b in ("golden", "crossbar", "crossbar-16-rows")],
-    ids=["golden", "crossbar", "crossbar-16-rows", "golden-stride-2", "crossbar-stride-2", "crossbar-16-rows-stride-2"],
+    [(b, n) for n in SMALL_NETS.values() for b in SMALL_BACKENDS],
+    ids=[b + suffix for suffix in SMALL_NETS for b in SMALL_BACKENDS],
 )
 def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypatch, backend, net):
     weights = WeightContainer.random(net, 7)
     images = rng.integers(0, 256, (16, 12, 12), dtype=np.uint8)
     want_scores, want_acts = reference_forward(net, weights, images)
-    # as the layers decide them: one row per (image, window), one column per channel
-    pixel_rows, binarized_rows = (a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1]) for a in want_acts)
+    # as the layers output them, each pooled by the pool after it: one row
+    # per (image, cell), one column per channel
+    want_rows = [
+        reshape_max_pool(a, size).transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
+        for a, size in zip(want_acts, pools_after(net))
+    ]
     if backend != "golden":
         # on 512 rows the binarized conv's fan-in 36 fits one segment, whose
         # main reference 18 is the golden threshold with ties low: the chains
         # stay one tensor; on 16 rows it splits 16+16+4
         rows, distance = (16, 1) if backend == "crossbar-16-rows" else (512, 16)
         backend = CrossbarBackend(CrossbarConfig(rows, rows), ReferenceSet(rows, distance, 3), "F2")
+    # the chains diverge only where a binarized layer splits
+    diverges = backend != "golden" and backend.config.rows == 16 and len(want_acts) > 1
 
     calls = {}
 
@@ -209,32 +240,57 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
     def outputs(name):
         return np.concatenate([out for _, out in calls[name]])
 
-    # the first binarized conv's GEMMs run once per chunk, for both chains
+    # the first binarized layer's GEMMs run once per chunk, for both chains:
+    # with a pool, every row a block senses is one band
     first = net.weight_layers[1]
     assert sum(args[3] is first for args, _ in calls["_segment_counts"]) == 3
-    assert np.array_equal(outputs("_pixel_bits"), pixel_rows)
-    golden = outputs("_fc_bits_golden")
-    assert golden.dtype == np.uint8 and np.array_equal(golden, binarized_rows)
+    assert np.array_equal(outputs("_pixel_bits"), want_rows[0])
+    if len(want_acts) > 1:  # one compare per block, of each pooled cell's max count sum
+        golden = outputs("_fc_bits_golden")
+        assert golden.dtype == np.uint8 and np.array_equal(golden.reshape(want_rows[1].shape), want_rows[1])
+    else:
+        assert calls["_fc_bits_golden"] == []
     # once per chunk while the chains are one tensor; once the chains
     # diverge, the golden chain's scores come first in every chunk
     scores = [out for _, out in calls["_signed_matmul"]]
     for got in scores:
         assert got.dtype == np.int64
-    shared = backend == "golden" or backend.config.rows == 512
-    assert len(scores) == (3 if shared else 6)
-    assert np.array_equal(np.concatenate(scores[:: 1 if shared else 2]), want_scores)
+    assert len(scores) == (6 if diverges else 3)
+    assert np.array_equal(np.concatenate(scores[:: 2 if diverges else 1]), want_scores)
     assert report.golden_accuracy == 1.0
     if backend == "golden":
         assert report.layer_mismatch == ()
         return
     mismatch = [m for _, m in report.layer_mismatch]
-    if shared:  # nothing is sensed: the golden bits are the crossbar chain's
+    if not diverges:  # nothing is sensed: the golden bits are the crossbar chain's
         assert calls["_fc_bits_crossbar"] == []
-        assert report.accuracy == 1.0 and mismatch == [0.0, 0.0]
+        assert report.accuracy == 1.0 and mismatch == [0.0] * len(want_acts)
     else:
-        crossbar_bits = outputs("_fc_bits_crossbar")
-        assert crossbar_bits.dtype == np.uint8
-        assert mismatch == [0.0, float((crossbar_bits != golden).mean())] and mismatch[1] > 0
+        assert all(out.dtype == np.uint8 for _, out in calls["_fc_bits_crossbar"])
+        # the mismatch counts every unpooled window of the binarized conv,
+        # those its pool drops included
+        layer = net.weight_layers[1]
+        x = reshape_max_pool(want_acts[0], pools_after(net)[0])
+        sensed = sensed_conv(x, weights.arrays[1], layer, backend)
+        assert mismatch == [0.0, float((sensed != want_acts[1]).mean())] and mismatch[1] > 0
+
+
+def test_only_a_pool_that_follows_no_conv_runs_alone(monkeypatch):
+    calls = []
+    real = netio._pool_or
+    monkeypatch.setattr(netio, "_pool_or", lambda *args: calls.append(args[1:]) or real(*args))
+    rng = np.random.default_rng(15)
+    images = rng.integers(0, 256, (8, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, 8, dtype=np.uint8)
+    for name in netio.TOPOLOGIES:
+        net = named_network(name)
+        for backend in ("golden", SPLIT_BACKEND):
+            run_inference(net, WeightContainer.random(net, 1), images, labels, backend)
+    assert calls == []
+    # a pool on the input, and a second pool after the one inside the conv
+    net = parse_topology("2x2 Pool - 3x3,4 - 2x2 Pool - 2x2 Pool - FC(10)")
+    run_inference(net, WeightContainer.random(net, 1), images, labels)
+    assert calls == [(2,), (2,)]
 
 
 def _lenet5_run(n, backend, tie_high=False):
