@@ -17,19 +17,17 @@ compared or decoded into that row of the layer's output before the next
 row's GEMM overwrites it, so no block holds a whole conv GEMM output; an FC
 layer is the one-row case.
 
-A pool that follows a conv runs inside it, so no full-size conv activation
-is allocated. The conv's Toeplitz rows put its windows in column-phase
-order for a p x p pool (`_toeplitz`): each output row's GEMM output then
-holds the pool's p column phases as contiguous slices, and a pooled row is
-the elementwise max over the p slices of p consecutive output rows. The
-pixel layer takes that max of its exact dots; a binarized conv, of its
-golden count sums (`_binarized`). Either is compared once per pooled cell:
-the threshold is per channel, so the compare of the max is the OR of the
-window's bits. The crossbar chain ORs the bits it senses per window. Ragged
-rows and columns are dropped at the pool, as `_pool_or` drops them; a
-binarized conv still senses them, because its mismatch counts every
-unpooled bit. `_pool_or` serves only a pool that follows no conv: one on
-the input, or one after a pool.
+Pooling has one rule: compare each window, then OR the bits of the pool's
+windows (`_pool_band`) inside the weight layer before the pool, so no
+full-size conv activation is allocated. Consecutive pools fold into one
+(`_steps`): floor(floor(h / a) / b) = floor(h / ab), and OR is associative.
+A conv's Toeplitz rows put its windows in column-phase order for a p x p
+pool (`_toeplitz`): each output row's GEMM output then holds the pool's p
+column phases as contiguous slices, and a pooled row is the OR of the bits
+of the p slices of p consecutive output rows. Ragged rows and columns are
+dropped at the pool; a binarized conv still senses them while a crossbar
+chain counts its mismatch, which counts every unpooled bit. Only a pool on
+the input images, which follows no weight layer, runs alone (`_pool_or`).
 
 Both GEMMs are exact in float32, in any summation order:
 
@@ -197,6 +195,8 @@ def parse_topology(
                 raise TopologyError(f"token {pos} {tok!r}: only square pooling supported")
             if flat is not None:
                 raise TopologyError(f"token {pos} {tok!r}: pool after FC")
+            if not 1 <= s1 <= min(h, w):
+                raise TopologyError(f"token {pos} {tok!r}: pool size must be 1 to {min(h, w)} on a {h}x{w} input")
             layers.append(PoolLayer(s1, h, w))
             h, w = layers[-1].out_h, layers[-1].out_w
         elif m := _FC_RE.match(tok):
@@ -604,10 +604,14 @@ def _bands(layer, pool: int, ragged: bool) -> list:
 
 
 def _pool_band(out: np.ndarray, band: np.ndarray, pool: int, width: int) -> None:
-    """`out` (images, width) = the max over the first `pool` rows of `band`
-    (images, rows, windows x outputs) and the `pool` column phases that
-    lead each row, `width` columns each (`_toeplitz`'s window order)."""
-    _max_into(out, [band[:, i, j * width : (j + 1) * width] for i in range(pool) for j in range(pool)])
+    """`out` (images, width) = the OR of the bits (their max) over the first
+    `pool` rows of `band` (images, rows, windows x outputs) and the `pool`
+    column phases that lead each row, `width` columns each (`_toeplitz`'s
+    window order), for a `pool` of 2 or more, with no temporary."""
+    parts = [band[:, i, j * width : (j + 1) * width] for i in range(pool) for j in range(pool)]
+    np.maximum(parts[0], parts[1], out=out)
+    for part in parts[2:]:
+        np.maximum(out, part, out=out)
 
 
 def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray, pool: int = 1) -> np.ndarray:
@@ -859,11 +863,11 @@ def _pixel_bits(x: np.ndarray, w: np.ndarray, layer=None, pool=1) -> np.ndarray:
     """Activation bits of the non-binarized layer, uint8 (input rows, O):
     1 where the exact dot product is at least 0, OR-pooled over `pool` x
     `pool` windows of a conv's outputs when a pool follows it, ragged edges
-    dropped as `_pool_or` drops them: one row per (image, pooled cell). The
-    weight operands are made once; each row block (`_by_rows`) runs the
-    output rows that the pool keeps and compares each row's dots, or with a
-    pool the max of the dots over each pooled cell, into that row of its
-    images' bits."""
+    dropped: one row per (image, pooled cell). The weight operands are made
+    once; each row block (`_by_rows`) runs the output rows that the pool
+    keeps and compares each row's dots into that row of its images' bits,
+    or with a pool the row's column phases into a band of `pool` rows,
+    which `_pool_band` ORs into the pooled row."""
     rows, per_row = _pooled(layer, pool)
     width = per_row * len(w)  # columns of a pooled row: (window, output)
     bits = np.empty((len(x) * rows * per_row, len(w)), np.uint8)
@@ -871,15 +875,13 @@ def _pixel_bits(x: np.ndarray, w: np.ndarray, layer=None, pool=1) -> np.ndarray:
 
     def block(lo, hi):
         with _workspace().frame() as ws:
-            spans, _, threshold = operands
-            peak = ws.take((hi - lo, width), np.float32 if len(spans) == 1 else np.float64) if pool > 1 else None
+            threshold = operands[2][: pool * width]
+            band = ws.take((hi - lo, pool, pool * width), np.bool_) if pool > 1 else None
             for r, dots in enumerate(_pixel_dots(x[lo:hi], layer, operands, range(rows * pool))):
-                if pool > 1:  # the max over the row's column phases and the rows before it in the pooled row
-                    phases = [dots[:, j * width : (j + 1) * width] for j in range(pool)]
-                    _max_into(peak, [peak] + phases if r % pool else phases)
-                    dots = peak
-                if r % pool == pool - 1:
-                    np.greater_equal(dots, threshold[:width], out=by_row[lo:hi, r // pool])
+                out = by_row[lo:hi, r] if pool == 1 else band[:, r % pool]
+                np.greater_equal(dots[:, : pool * width], threshold, out=out)
+                if pool > 1 and r % pool == pool - 1:
+                    _pool_band(by_row[lo:hi, r // pool], band, pool, width)
 
     with _workspace().frame():
         operands = _pixel_operands(w, layer, pool)
@@ -920,37 +922,12 @@ def _fc_bits_crossbar(counts, lengths: tuple[int, ...], backend: CrossbarBackend
 
 def _pool_or(x: np.ndarray, size: int) -> np.ndarray:
     """Max over non-overlapping size x size windows of NHWC (B, H, W, C),
-    ragged edges dropped: the OR of bits, the max of pixels. It serves only
-    a pool that follows no conv (one on the input, or one after a pool); a
-    pool after a conv runs inside the conv (`_pixel_bits`, `_binarized`),
-    and equals this over the conv's unpooled output. Each row block
-    (`_by_rows`) takes its maxima in place over strided slices: first the
-    rows into one scratch array, then its columns into its rows of the
-    output. (The rows go first because their slices keep whole W x C rows
-    contiguous.)"""
-    oh, ow = x.shape[1] // size, x.shape[2] // size
-    out = np.empty((len(x), oh, ow, x.shape[3]), x.dtype)
-
-    def block(lo, hi):
-        # not a workspace carve: a frame opened here would map the thread's
-        # workspace while the previous layer's bits are still alive (a first
-        # lenet-5 batch then peaked at 21.0 MiB instead of 20.1)
-        rows = np.empty((hi - lo, oh, ow * size, x.shape[3]), x.dtype)
-        _max_into(rows, [x[lo:hi, i : oh * size : size, : ow * size] for i in range(size)])
-        _max_into(out[lo:hi], [rows[:, :, j::size] for j in range(size)])
-
-    _by_rows(block, len(x))
-    return out
-
-
-def _max_into(out: np.ndarray, parts: list) -> None:
-    """`out` = the elementwise max of the arrays `parts`, with no temporary."""
-    if len(parts) == 1:
-        np.copyto(out, parts[0])
-        return
-    np.maximum(parts[0], parts[1], out=out)
-    for part in parts[2:]:
-        np.maximum(out, part, out=out)
+    ragged edges dropped: the max of pixels, the OR of bits. It serves only
+    a pool on the input images; every other pool runs inside the weight
+    layer before it (`_steps`)."""
+    b, h, w, c = x.shape
+    oh, ow = h // size, w // size
+    return x[:, : oh * size, : ow * size].reshape(b, oh, size, ow, size, c).max(axis=(2, 4))
 
 
 def _activation(layer, bits: np.ndarray, batch: int, pool: int = 1) -> np.ndarray:
@@ -974,8 +951,8 @@ def _each(f, golden, crossbar):
 def _binarized(layer, w, golden, crossbar, backend, tie_high, pool=1):
     """Both chains' activations of a binarized layer that is not the last,
     OR-pooled over `pool` x `pool` windows of a conv's outputs when a pool
-    follows it (ragged edges dropped, as `_pool_or` drops them), and the
-    count of its unpooled activation bits in which the chains differ.
+    follows it (ragged edges dropped), and the count of its unpooled
+    activation bits in which the chains differ.
 
     On a shared input that the backend senses exactly
     (`CrossbarBackend.reads_majority`), the golden bits serve both chains.
@@ -989,10 +966,8 @@ def _binarized(layer, w, golden, crossbar, backend, tie_high, pool=1):
     chain senses them. While the chains share their input, that is one pass
     for both; otherwise the golden chain's pass ends before the crossbar
     chain's starts, so the workspace holds one chain's counts at a time.
-    With a pool, the golden chain keeps the max of its count sums over each
-    pooled cell and compares it once per block, and the crossbar chain ORs
-    its sensed bits; a band's unpooled golden bits are kept only to count
-    the mismatch."""
+    Without a pool, each chain writes its bits into its output; with one,
+    into a band scratch whose bits `_pool_band` ORs into the pooled row."""
     shared = crossbar is golden and backend.reads_majority(layer.fan_in, tie_high)
     if shared:
         crossbar = None
@@ -1040,33 +1015,24 @@ def _binarized(layer, w, golden, crossbar, backend, tie_high, pool=1):
         crossbar_out = None if crossbar is None else crossbar_bits[lo:hi]
         differ = 0
         with _workspace().frame() as ws:
-            # with a pool, the max golden count sum of each pooled cell
-            peak = ws.take(golden_out.shape, np.min_scalar_type(n)) if pool > 1 else None
             for i, band in enumerate(bands):
                 with ws.frame():
-                    if pool == 1:  # the band is every row of the output
-                        g, c = golden_out, crossbar_out
-                    else:  # the band's unpooled bits, while a crossbar chain needs them
+                    g, c = golden_out, crossbar_out  # without a pool, the band is every row of the output
+                    if pool > 1:  # the band's unpooled bits
                         shape = (hi - lo, len(band), windows * o)
-                        g, c = (None if crossbar is None else ws.take(shape, np.uint8) for _ in range(2))
+                        g, c = (None if out is None else ws.take(shape, np.uint8) for out in (g, c))
                     with ws.frame():
                         total = golden_pass(golden[lo:hi], band, c if crossbar is golden else None)
-                        if pool == 1:
-                            np.copyto(g, _fc_bits_golden(total, n, tie_high, g))
-                        else:
-                            if i < rows:
-                                _pool_band(peak[:, i], total, pool, per_row * o)
-                            if g is not None:
-                                np.greater(total, _majority(n, tie_high), out=g.view(np.bool_))
+                        np.copyto(g, _fc_bits_golden(total, n, tie_high, g))
                     if crossbar is not None and crossbar is not golden:
                         with ws.frame():
                             sense(_segment_counts(crossbar[lo:hi], w, lengths, layer, lanes, band), c)
-                    if c is not None:
-                        if pool > 1 and i < rows:
+                    if pool > 1 and i < rows:
+                        _pool_band(golden_out[:, i], g, pool, per_row * o)
+                        if c is not None:
                             _pool_band(crossbar_out[:, i], c, pool, per_row * o)
+                    if c is not None:
                         differ += int(np.count_nonzero(np.not_equal(g, c, out=ws.take(g.shape, np.bool_))))
-            if pool > 1:
-                np.copyto(golden_out, _fc_bits_golden(peak, n, tie_high, golden_out))
         wrong.append(differ)
 
     with _workspace().frame():
@@ -1080,15 +1046,20 @@ def _binarized(layer, w, golden, crossbar, backend, tie_high, pool=1):
 
 
 def _steps(layers) -> list:
-    """(layer, pool) for each layer of `layers` that runs on its own: a pool
-    that follows a conv runs inside it, as the conv's `pool`; every other
-    layer has pool 1, a pool that follows no conv included."""
+    """(layer, pool) for each weight layer of `layers`, `pool` the product of
+    the sizes of the pools that follow it (1 for none), which run inside
+    it; pools on the input, which follow no weight layer, are one step
+    (None, pool) of their own. A pool after an FC layer raises ValueError."""
     steps = []
     for layer in layers:
-        if isinstance(layer, PoolLayer) and steps and isinstance(steps[-1][0], ConvLayer) and steps[-1][1] == 1:
-            steps[-1] = (steps[-1][0], layer.size)
-        else:
+        if not isinstance(layer, PoolLayer):
             steps.append((layer, 1))
+        elif not steps:
+            steps.append((None, layer.size))
+        elif isinstance(steps[-1][0], FCLayer):
+            raise ValueError(f"a pool after an FC layer: {layer}")
+        else:
+            steps[-1] = (steps[-1][0], steps[-1][1] * layer.size)
     return steps
 
 
@@ -1110,12 +1081,13 @@ def run_inference(
 
     One pass over `net.layers` carries both chains' tensors in lockstep.
     While the chains agree the crossbar tensor is the golden one (the same
-    object), and each layer runs once for both: the non-binarized first
-    layer, every pool, every binarized layer whose crossbar readout is its
-    exact sign (`CrossbarBackend.reads_majority`), and the final scores. The
-    next binarized layer's per-segment popcounts are computed once too; the
-    crossbar chain senses them, their sum gives the golden bits, and the
-    chains diverge there. A pool that follows a conv runs inside it
+    object), and each layer runs once for both: a pool on the input, the
+    non-binarized first layer, every binarized layer whose crossbar readout
+    is its exact sign (`CrossbarBackend.reads_majority`), and the final
+    scores. The next binarized layer's per-segment popcounts are computed
+    once too; the crossbar chain senses them, their sum gives the golden
+    bits, and the chains diverge there. Every other pool runs inside the
+    weight layer before it, which ORs the bits of the pool's windows
     (`_steps`). A layer's mismatch counts its unpooled bits: a binarized
     layer counts them in its row blocks, and a layer whose two outputs are
     the same object counts 0 without a compare (the pixel layer, first of
@@ -1147,8 +1119,8 @@ def run_inference(
         crossbar = None if backend == "golden" else golden
         i = 0  # weight layer index
         for layer, pool in _steps(net.layers):
-            if isinstance(layer, PoolLayer):
-                golden, crossbar = _each(lambda x: _pool_or(x, layer.size), golden, crossbar)
+            if layer is None:
+                golden, crossbar = _each(lambda x: _pool_or(x, pool), golden, crossbar)
                 continue
             w = weights.arrays[i].reshape(layer.weight_shape[0], -1)
             wrong = 0

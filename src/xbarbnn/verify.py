@@ -27,10 +27,11 @@ Each guarantee a docstring states, and the check in `CHECKS` that proves it:
   conv): `conv_gemm`, against an int64 dot per window (`window_dots`) on
   one, two and three segments, and a pixel conv of two centred blocks per
   output row, whose bits `netio._pixel_bits` must fire iff that dot >= 0.
-* A pool that follows a conv runs inside it and equals `_pool_or` over the
-  unfused conv, with the same mismatch count (`netio`): `conv_pool`, on the
-  `POOL_CASES` shapes at pools 2 and 3, ragged edges included, for the pixel
-  conv and a binarized conv under the golden, 512-row and 16-row backends.
+* Every pool but one on the input runs inside the conv before it, and
+  consecutive pools fold into one; the pooled bits equal `max_pool` over the
+  unfused conv's, with the same mismatch count (`netio`): `conv_pool`, on
+  the `POOL_CASES` shapes at pools 2 and 3 and on `FOLDED_CASES`, ragged
+  edges included, pixel and binarized convs, golden and crossbar backends.
 * The conv dataflow equals im2col (`dataflow.run_layer`): `dataflow_dots`,
   against the conv GEMM's signed dot, which `conv_gemm` ties to the windows.
 * The closed-form bus words equal the transaction log
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -93,6 +95,15 @@ CONV_CASES = (
 POOL_CASES = CONV_CASES + ((2, 8, 8, 3, 1),)
 POOL_SIZES = (2, 3)
 
+# (conv case, pools on its input, pools after it) of `conv_pool` whose pools
+# fold (`netio._steps`): the 10x11 output of a 3x3 conv on 12x13 pools to
+# 2x2 at 2 then 2 and to 1x1 at 3 then 2, ragged at both pools; 17x18 pixels
+# pool to 8x9 (a ragged row) or 4x4 in one `netio._pool_or` before the conv
+FOLDED_CASES = (
+    ((2, 12, 13, 3, 1), (), (2, 2)), ((2, 12, 13, 3, 1), (), (3, 2)),
+    ((3, 17, 18, 3, 1), (2,), (2,)), ((3, 17, 18, 3, 1), (2, 2), (2,)),
+)
+
 # array rows for the conv GEMM check: every DATAFLOW_CASES fan-in (27, 18)
 # in one segment, in two unequal ones (16+11, 16+2) and in up to three
 # (10+10+7, 10+8)
@@ -126,6 +137,15 @@ def window_dots(x: np.ndarray, w: np.ndarray, layer) -> np.ndarray:
         for q in range(layer.out_w)
     ]
     return (np.stack(windows, axis=1) @ w.T).reshape(-1, len(w))
+
+
+def max_pool(x: np.ndarray, size: int) -> np.ndarray:
+    """Reference max pool of NHWC `x` over non-overlapping size x size
+    windows, ragged rows and columns dropped: a reshape-max, which on bits
+    is their OR."""
+    b, h, w, c = x.shape
+    oh, ow = h // size, w // size
+    return x[:, : oh * size, : ow * size].reshape(b, oh, size, ow, size, c).max(axis=(2, 4))
 
 
 def pixel_matmul(x: np.ndarray, w: np.ndarray, layer=None) -> np.ndarray:
@@ -217,6 +237,11 @@ def _layout(lengths, x: int, count: int) -> str:
 def _conv(case) -> str:
     """A conv case's name, with parallel_window when the case has one."""
     return "c{}h{}w{}k{}s{}".format(*case[:5]) + "".join(f"pw{pw:d}" for pw in case[5:])
+
+
+def _pool_case(case) -> str:
+    shape, before, after = case
+    return " - ".join([f"{p}x{p} pool" for p in before] + [_conv(shape)] + [f"{p}x{p} pool" for p in after])
 
 
 def _where(cells: np.ndarray, mask: np.ndarray, what: str) -> str | None:
@@ -416,36 +441,31 @@ def packed_lanes():
                     yield f"span {m}, segments {lengths}, columns {lo}:{hi}", _first_diff(got, want)
 
 
-def chain_case(rows: int, fan_in: int, kind: str, count: int, x: int, rng) -> str | None:
-    """One case of `chain`: `netio._fc_bits_crossbar` on the segment
-    popcounts of random bit matrices (48 inputs, 7 neurons: one lane holds a
-    single row) against `crossbar.layer_forward` per (input row, neuron)."""
-    cfg = crossbar.CrossbarConfig(rows, rows)
-    lengths = crossbar.segment_lengths(fan_in, rows)
-    refs = crossbar.ReferenceSet(lengths[0], x, count)
-    a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
-    w = rng.integers(0, 2, (7, fan_in), dtype=np.uint8)
-    backend = netio.CrossbarBackend(cfg, refs, kind)
-    with netio._workspace().frame():
-        got = netio._fc_bits_crossbar(netio._segment_counts(a, w, lengths), lengths, backend)
-    policy = cascade.CascadePolicy(kind, refs)
-    groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
-    inputs = map(bincore.BinaryTensor.from_bits, a)
-    want = [[crossbar.layer_forward(row, g, refs, policy) for g in groups] for row in inputs]
-    return f"dtype {got.dtype}, want uint8" if got.dtype != np.uint8 else _first_diff(got, want)
-
-
 @_first_failure
 def chain():
-    """Every split shape k in {1, 2, 3}, unequal tails included, under every
-    policy kind."""
+    """`netio._fc_bits_crossbar` on the segment popcounts of random bit
+    matrices (48 inputs, 7 neurons: one lane holds a single row) against
+    `crossbar.layer_forward` per (input row, neuron), on every split shape
+    k in {1, 2, 3}, unequal tails included, under every policy kind."""
     rng = np.random.default_rng(1)
     for rows, fan_in in CHAIN_SPLITS:
+        cfg = crossbar.CrossbarConfig(rows, rows)
         lengths = crossbar.segment_lengths(fan_in, rows)
         for kind, count, x in itertools.product(cascade.POLICY_KINDS, (3, 5), (1, 2)):
-            if admissible(lengths, x, count):
-                yield (f"{rows} rows, {kind} {_layout(lengths, x, count)}, (input, neuron) bit",
-                       chain_case(rows, fan_in, kind, count, x, rng))
+            if not admissible(lengths, x, count):
+                continue
+            refs = crossbar.ReferenceSet(lengths[0], x, count)
+            a = rng.integers(0, 2, (48, fan_in), dtype=np.uint8)
+            w = rng.integers(0, 2, (7, fan_in), dtype=np.uint8)
+            backend = netio.CrossbarBackend(cfg, refs, kind)
+            with netio._workspace().frame():
+                got = netio._fc_bits_crossbar(netio._segment_counts(a, w, lengths), lengths, backend)
+            policy = cascade.CascadePolicy(kind, refs)
+            groups = [crossbar.map_weights(bincore.BinaryTensor.from_bits(row), cfg) for row in w]
+            inputs = map(bincore.BinaryTensor.from_bits, a)
+            want = [[crossbar.layer_forward(row, g, refs, policy) for g in groups] for row in inputs]
+            yield (f"{rows} rows, {kind} {_layout(lengths, x, count)}, (input, neuron) bit",
+                   f"dtype {got.dtype}, want uint8" if got.dtype != np.uint8 else _first_diff(got, want))
 
 
 @_first_failure
@@ -514,12 +534,15 @@ def conv_gemm():
 
 @_first_failure
 def conv_pool():
-    """A pool that follows a conv runs inside it (`netio._pixel_bits` and
-    `netio._binarized` with `pool`): its pooled bits equal `netio._pool_or`
-    over the unfused layer's bits, and its mismatch count equals the unfused
-    layer's, which equals the count of unpooled bits in which the chains
-    differ. Every `POOL_CASES` shape at every `POOL_SIZES` size, ragged
-    rows and columns included: the pixel conv, and a binarized conv over 4
+    """Every pool runs inside the conv before it (`netio._pixel_bits` and
+    `netio._binarized` with `pool`), except pools on the input, which run
+    alone in one `netio._pool_or`; pools after pools fold into one of their
+    product (`netio._steps`). The pooled bits equal `max_pool` over the
+    unfused layer's bits, pool after pool, and the mismatch count equals the
+    unfused layer's, which equals the count of unpooled bits in which the
+    chains differ. Every `POOL_CASES` shape at every `POOL_SIZES` size and
+    every `FOLDED_CASES` case, ragged rows and columns included: the pixel
+    conv, and, on a conv that follows no pool, a binarized conv over 4
     channels (so that every fan-in can be sensed) under the golden backend,
     on 512 rows (the shared exact readout, or sensing with ties high) and on
     16 rows (fan-ins 4, 36 = 16+16+4 and 100 = 6x16+4), with the chains
@@ -531,14 +554,22 @@ def conv_pool():
         "512 rows": netio.CrossbarBackend(crossbar.CrossbarConfig(), refs),
         "16 rows": netio.CrossbarBackend(crossbar.CrossbarConfig(16, 16), refs),
     }
-    for (ch, h, w, k, stride), pool in itertools.product(POOL_CASES, POOL_SIZES):
-        name = f"{_conv((ch, h, w, k, stride))} pool {pool}"
-        layer = dataflow.ConvLayer(ch, 5, h, w, k, stride, binarized=False)
+    for case in [(shape, (), (size,)) for shape in POOL_CASES for size in POOL_SIZES] + list(FOLDED_CASES):
+        (ch, h, w, k, stride), before, after = case
+        name, first, pool = _pool_case(case), math.prod(before), math.prod(after)
+        layer = dataflow.ConvLayer(ch, 5, h // first, w // first, k, stride, binarized=False)
+        pools = [netio.PoolLayer(p, h, w) for p in before], [netio.PoolLayer(p, h, w) for p in after]
+        steps, want = netio._steps([*pools[0], layer, *pools[1]]), [(None, first)] * bool(before) + [(layer, pool)]
+        yield f"{name}, steps", None if steps == want else f"{steps}, want {want}"
         pixels = rng.integers(0, 256, (3, h, w, ch), dtype=np.uint8)
         w8 = rng.integers(-128, 128, (5, layer.fan_in), dtype=np.int8)
-        unfused = netio._activation(layer, netio._pixel_bits(pixels, w8, layer), len(pixels))
-        fused = netio._activation(layer, netio._pixel_bits(pixels, w8, layer, pool), len(pixels), pool)
-        yield f"{name}, pixel conv", _first_diff(fused, netio._pool_or(unfused, pool))
+        x = functools.reduce(max_pool, before, pixels)
+        unfused = netio._activation(layer, netio._pixel_bits(x, w8, layer), len(x))
+        x = netio._pool_or(pixels, first) if before else pixels
+        fused = netio._activation(layer, netio._pixel_bits(x, w8, layer, pool), len(x), pool)
+        yield f"{name}, pixel conv", _first_diff(fused, functools.reduce(max_pool, after, unfused))
+        if before:
+            continue
         layer = dataflow.ConvLayer(4, 5, h, w, k, stride)
         bits = rng.integers(0, 2, (3, h, w, 4), dtype=np.uint8)
         apart = bits ^ (rng.random(bits.shape) < 0.2)  # the crossbar chain's input, 20% of it flipped
@@ -550,9 +581,9 @@ def conv_pool():
             case = f"{name}, binarized conv, {label}, inputs {inputs}, ties {'high' if tie_high else 'low'}"
             golden, sensed, wrong = netio._binarized(layer, kernels, bits, other, backend, tie_high)
             got = netio._binarized(layer, kernels, bits, other, backend, tie_high, pool)
-            yield f"{case}, golden bits", _first_diff(got[0], netio._pool_or(golden, pool))
+            yield f"{case}, golden bits", _first_diff(got[0], functools.reduce(max_pool, after, golden))
             if other is not None:
-                yield f"{case}, crossbar bits", _first_diff(got[1], netio._pool_or(sensed, pool))
+                yield f"{case}, crossbar bits", _first_diff(got[1], functools.reduce(max_pool, after, sensed))
                 differ = int(np.count_nonzero(golden != sensed))
                 yield f"{case}, unfused mismatch", None if wrong == differ else f"{wrong}, want {differ} differing bits"
             yield f"{case}, mismatch", None if got[2] == wrong else f"{got[2]}, want the unfused {wrong}"
@@ -574,27 +605,22 @@ def dataflow_dots():
             yield f"{_conv(case)}, bus width {bus}, bit width {bits}", _first_diff(got, want)
 
 
-def bus_words_case(case, bit_width: int, rng) -> str | None:
-    """One case of `bus_words`: `dataflow.run_layer` on random bits of one
-    `DATAFLOW_CASES` shape logs the bus words `streamed_words_per_layer`
-    gives, at bus widths 1 (the streamed bits) and 32."""
-    ch, h, w, k, stride, pw = case
-    layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
-    x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
-    kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
-    for bus in (1, 32):
-        logged = dataflow.run_layer(x, kernels, None, pw, bit_width, bus, stride)[1].words_streamed
-        closed = dataflow.streamed_words_per_layer(layer, bit_width, bus, pw)
-        if logged != closed:
-            return f"bus width {bus}: {logged} words logged, {closed} closed form"
-
-
 @_first_failure
 def bus_words():
-    """Every `DATAFLOW_CASES` shape at bit widths 1 and 8."""
+    """`dataflow.run_layer` on random bits of every `DATAFLOW_CASES` shape
+    at bit widths 1 and 8 logs the bus words `streamed_words_per_layer`
+    gives, at bus widths 1 (the streamed bits) and 32."""
     rng = np.random.default_rng(2)
     for case, bit_width in itertools.product(DATAFLOW_CASES, (1, 8)):
-        yield f"{_conv(case)}, bit width {bit_width}", bus_words_case(case, bit_width, rng)
+        ch, h, w, k, stride, pw = case
+        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+        x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
+        kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
+        for bus in (1, 32):
+            logged = dataflow.run_layer(x, kernels, None, pw, bit_width, bus, stride)[1].words_streamed
+            closed = dataflow.streamed_words_per_layer(layer, bit_width, bus, pw)
+            why = None if logged == closed else f"{logged} words logged, {closed} closed form"
+            yield f"{_conv(case)}, bit width {bit_width}, bus width {bus}", why
 
 
 CHECKS = (
@@ -616,8 +642,9 @@ CHECKS = (
     ("pair-count census == raw exhaustive walk, false positives and negatives, AND/OR/F1/F2, nu 4 to 10", census),
     (f"conv band GEMM == int64 per-window dot, dataflow shapes on {' '.join(f'{r} rows' for r in CONV_SPLIT_ROWS)}, "
      "1x1 pixel conv at 514/515 channels, 5x5 pixel conv over 45 channels (two centred blocks)", conv_gemm),
-    (f"conv with the pool inside == _pool_or of the unfused conv, bits and mismatch, pools {POOL_SIZES}, "
-     "pixel and binarized convs, golden/512-row/16-row backends, " + " ".join(map(_conv, POOL_CASES)), conv_pool),
+    ("conv with the pool inside == _pool_or of the unfused conv, bits and mismatch, as reshape-max pools in verify, "
+     f"pools {POOL_SIZES}, pixel and binarized convs, golden/512-row/16-row backends, "
+     + " ".join(map(_conv, POOL_CASES)) + "; pools that fold, " + ", ".join(map(_pool_case, FOLDED_CASES)), conv_pool),
     ("conv dataflow == conv band GEMM signed dot, " + " ".join(map(_conv, DATAFLOW_CASES)), dataflow_dots),
     ("logged bus words == closed form, bus widths 1/32, bit widths 1/8", bus_words),
 )

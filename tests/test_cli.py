@@ -43,6 +43,12 @@ BAD_CONFIGS = [
     (["cost", "--network", "mlp-l", "--refs", "-2"], "reference count must be odd and positive, got -2"),
     (["cost", "--network", "mlp-l", "--refs", "0"], "reference count must be odd and positive, got 0"),
     (["cost", "--network", "mlp-l", "--refs", "2"], "reference count must be odd and positive, got 2"),
+    # pool sizes outside 1 to the input's side, which once ended in a
+    # ZeroDivisionError and in an empty FC layer
+    (["infer", "--topology", "5x5,6 - 0x0 Pool - FC(10)", "--synthetic", "4", "--seed", "1"], "token 1 '0x0 Pool'"),
+    (["infer", "--topology", "5x5,6 - 30x30 Pool - FC(10)", "--synthetic", "4", "--seed", "1"],
+     "token 1 '30x30 Pool': pool size must be 1 to 24 on a 24x24 input"),
+    (["cost", "--topology", "5x5,6 - 0x0 Pool - FC(10)"], "token 1 '0x0 Pool'"),
 ]
 
 
@@ -53,6 +59,7 @@ BAD_CONFIGS = [
         "tail-512+8", "lenet5-64x64", "unknown-token", "bad-geometry", "refs-outside-segment", "unknown-network",
         "missing-weights", "missing-images", "missing-config", "missing-params", "f1-one-ref-split",
         "unknown-policy-in-config", "conv-last", "cost-refs-negative", "cost-refs-zero", "cost-refs-even",
+        "pool-zero", "pool-wider-than-input", "cost-pool-zero",
     ],
 )
 def test_bad_configuration_is_one_line_and_exit_2(capsys, argv, reason):

@@ -24,7 +24,7 @@ from xbarbnn.netio import (
     parse_topology,
     run_inference,
 )
-from xbarbnn.verify import CONV_CASES, chain_case, pixel_matmul, window_dots
+from xbarbnn.verify import CONV_CASES, pixel_matmul, window_dots
 
 
 @pytest.mark.parametrize(
@@ -40,13 +40,6 @@ def test_segment_lengths_rejects_empty_vector():
         segment_lengths(0, 512)
 
 
-@pytest.mark.parametrize("fan_in", [12, 28, 40])  # 12, 16+12, 16+16+8
-@pytest.mark.parametrize("kind", POLICY_KINDS)
-@pytest.mark.parametrize("count, x", [(3, 2), (5, 1)])
-def test_batched_chain_equals_per_neuron_layer_forward(rng, fan_in, kind, count, x):
-    assert chain_case(16, fan_in, kind, count, x, rng) is None
-
-
 def reshape_max_pool(x: np.ndarray, size: int) -> np.ndarray:
     b, c, h, w = x.shape
     v = x[:, :, : h - h % size, : w - w % size].reshape(b, c, h // size, size, w // size, size)
@@ -57,10 +50,13 @@ def reshape_max_pool(x: np.ndarray, size: int) -> np.ndarray:
 @pytest.mark.parametrize("hw", [(7, 9), (8, 8)])
 @pytest.mark.parametrize("high", [2, 256], ids=["bits", "pixels"])
 def test_pool_or_equals_reshape_max(rng, size, hw, high):
+    # `_pool_or` runs the pools on the input, folded into one of their
+    # product: a pool of 2 * size equals a pool of size, then one of 2
     x = rng.integers(0, high, (3, 2) + hw, dtype=np.uint8)
-    got = _pool_or(x.transpose(0, 2, 3, 1), size)  # NHWC
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, reshape_max_pool(x, size).transpose(0, 2, 3, 1))
+    for pool, want in ((size, reshape_max_pool(x, size)), (2 * size, reshape_max_pool(reshape_max_pool(x, size), 2))):
+        got = _pool_or(x.transpose(0, 2, 3, 1), pool)  # NHWC
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want.transpose(0, 2, 3, 1))
 
 
 def test_pixel_gemm_is_exact_above_the_float32_bound(monkeypatch):
@@ -234,6 +230,7 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
 
     for name in ("_pixel_bits", "_segment_counts", "_fc_bits_golden", "_fc_bits_crossbar", "_signed_matmul"):
         record(name)
+    record("_binarized")
     monkeypatch.setattr(netio, "_CHUNK", 7)  # 16 images in 3 chunks
     report = run_inference(net, weights, images, want_scores.argmax(axis=1), backend)
 
@@ -245,11 +242,12 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
     first = net.weight_layers[1]
     assert sum(args[3] is first for args, _ in calls["_segment_counts"]) == 3
     assert np.array_equal(outputs("_pixel_bits"), want_rows[0])
-    if len(want_acts) > 1:  # one compare per block, of each pooled cell's max count sum
-        golden = outputs("_fc_bits_golden")
+    if len(want_acts) > 1:  # `_fc_bits_golden` writes each band's unpooled bits; `_binarized` returns them pooled
+        assert calls["_fc_bits_golden"] and all(out.dtype == np.uint8 for _, out in calls["_fc_bits_golden"])
+        golden = np.concatenate([out[0] for _, out in calls["_binarized"]])
         assert golden.dtype == np.uint8 and np.array_equal(golden.reshape(want_rows[1].shape), want_rows[1])
     else:
-        assert calls["_fc_bits_golden"] == []
+        assert calls["_fc_bits_golden"] == [] and calls["_binarized"] == []
     # once per chunk while the chains are one tensor; once the chains
     # diverge, the golden chain's scores come first in every chunk
     scores = [out for _, out in calls["_signed_matmul"]]
@@ -273,6 +271,10 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
         x = reshape_max_pool(want_acts[0], pools_after(net)[0])
         sensed = sensed_conv(x, weights.arrays[1], layer, backend)
         assert mismatch == [0.0, float((sensed != want_acts[1]).mean())] and mismatch[1] > 0
+        # the crossbar chain's bits, pooled as the golden ones
+        got = np.concatenate([out[1] for _, out in calls["_binarized"]])
+        want = reshape_max_pool(sensed, pools_after(net)[1]).transpose(0, 2, 3, 1)
+        assert np.array_equal(got, want)
 
 
 def test_only_a_pool_that_follows_no_conv_runs_alone(monkeypatch):
@@ -287,10 +289,12 @@ def test_only_a_pool_that_follows_no_conv_runs_alone(monkeypatch):
         for backend in ("golden", SPLIT_BACKEND):
             run_inference(net, WeightContainer.random(net, 1), images, labels, backend)
     assert calls == []
-    # a pool on the input, and a second pool after the one inside the conv
-    net = parse_topology("2x2 Pool - 3x3,4 - 2x2 Pool - 2x2 Pool - FC(10)")
+    # pools on the input fold into one, and a pool after a pool runs inside
+    # the conv with the pool it follows: one call per chunk
+    monkeypatch.setattr(netio, "_CHUNK", 3)  # 8 images in 3 chunks
+    net = parse_topology("2x2 Pool - 2x2 Pool - 3x3,4 - 2x2 Pool - 2x2 Pool - FC(10)")
     run_inference(net, WeightContainer.random(net, 1), images, labels)
-    assert calls == [(2,), (2,)]
+    assert calls == [(4,)] * 3
 
 
 def _lenet5_run(n, backend, tie_high=False):
@@ -393,6 +397,14 @@ def test_run_inference_rejects_unpaired_labels():
     images = np.zeros((4, 28, 28), np.uint8)
     with pytest.raises(ValueError, match="4 images vs 3 labels"):
         run_inference(net, WeightContainer.random(net, 1), images, np.zeros(3, np.uint8))
+
+
+def test_run_inference_rejects_a_pool_after_an_fc_layer():
+    # the grammar rejects it; a hand-built spec would fold it into the FC layer
+    net = NetworkSpec("fc-pool", 1, 8, 8, (FCLayer(64, 20, binarized=False), FCLayer(20, 12), PoolLayer(2, 1, 1),
+                                           FCLayer(12, 10)))
+    with pytest.raises(ValueError, match="a pool after an FC layer"):
+        run_inference(net, WeightContainer.random(net, 1), np.zeros((4, 8, 8), np.uint8), np.zeros(4, np.uint8))
 
 
 def _mlpl_batch(n):
