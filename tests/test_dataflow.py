@@ -26,6 +26,17 @@ def test_run_layer_equals_im2col(case, rng):
     assert dots.tolist() == im2col_dot(x, kernels, stride).tolist()
 
 
+@pytest.mark.parametrize("bit_width", [1, 8])
+def test_closed_forms_equal_transaction_log(case, bit_width, rng):
+    ch, h, w, k, stride, pw = case
+    layer = ConvLayer(ch, 4, h, w, k, stride)
+    x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
+    kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
+    for bus in (1, 32):  # the streamed bits, and 32-bit words
+        logged = run_layer(x, kernels, None, pw, bit_width, bus, stride)[1].words_streamed
+        assert logged == streamed_words_per_layer(layer, bit_width, bus, pw), f"bus width {bus}"
+
+
 def test_parallel_window_rejects_stride_above_one(rng):
     x = rng.integers(0, 2, (3, 11, 11), dtype=np.uint8)
     kernels = rng.integers(0, 2, (4, 3, 3, 3), dtype=np.uint8)
