@@ -2,7 +2,7 @@
 model, splitting/cascade accuracy analysis, conv dataflow mapping, and the
 energy/latency comparison against a sequential differential-sensing design."""
 
-from .bincore import BinaryTensor, binarize, golden_activation, popcount, xnor, xnor_popcount_dot
+from .bincore import BinaryTensor, golden_activation, popcount, xnor, xnor_popcount_dot
 from .cascade import (
     CascadePolicy,
     DistSpec,

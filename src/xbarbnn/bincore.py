@@ -60,13 +60,6 @@ class BinaryTensor:
             raise ValueError("bits must be 0 or 1")
         return cls(tuple(int(s) for s in shape), _pack(arr))
 
-    @classmethod
-    def from_signed(cls, values, shape=None) -> "BinaryTensor":
-        arr = np.asarray(values)
-        if arr.size and not np.isin(arr, (-1, 1)).all():
-            raise ValueError("signed values must be -1 or +1")
-        return cls.from_bits((arr > 0).astype(np.uint8), shape if shape is not None else arr.shape)
-
     def bits(self) -> np.ndarray:
         """Unpacked 0/1 array in the tensor's shape."""
         flat = np.unpackbits(self.packed, count=self.size, bitorder="little")
@@ -75,19 +68,6 @@ class BinaryTensor:
     def signed(self) -> np.ndarray:
         """Signed view: bit b maps to 2b - 1."""
         return self.bits().astype(np.int16) * 2 - 1
-
-    def reshaped(self, shape) -> "BinaryTensor":
-        if math.prod(shape) != self.size:
-            raise ValueError("element count must be preserved")
-        return BinaryTensor(tuple(int(s) for s in shape), self.packed)
-
-
-def binarize(x) -> BinaryTensor:
-    """Map a real tensor to bits: value >= 0 becomes 1, value < 0 becomes 0."""
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("binarize requires finite inputs")
-    return BinaryTensor.from_bits((arr >= 0).astype(np.uint8), arr.shape)
 
 
 def xnor(a: BinaryTensor, b: BinaryTensor) -> BinaryTensor:
@@ -110,14 +90,7 @@ def xnor_popcount_dot(a: BinaryTensor, b: BinaryTensor) -> int:
     return 2 * popcount(xnor(a, b)) - a.size
 
 
-def golden_activation(a: BinaryTensor, b: BinaryTensor, tie_high: bool = False) -> int:
-    """Reference activation bit: 1 iff the match count strictly exceeds n/2.
-
-    `tie_high` switches the boundary case (match count exactly n/2, i.e.
-    signed dot exactly 0) to output 1, mirroring sign semantics.
-    """
-    n = a.size
-    d = popcount(xnor(a, b))
-    if tie_high:
-        return 1 if 2 * d >= n else 0
-    return 1 if 2 * d > n else 0
+def golden_activation(a: BinaryTensor, b: BinaryTensor) -> int:
+    """Reference activation bit: 1 iff the match count strictly exceeds n/2,
+    so a tie (signed dot 0) reads 0, as the sense amplifier does."""
+    return 1 if 2 * popcount(xnor(a, b)) > a.size else 0

@@ -115,8 +115,7 @@ def cmd_loss_sweep(args) -> int:
         return 0
 
     if seed is None:
-        print("loss-sweep: --seed is mandatory for stochastic modes", file=sys.stderr)
-        return 2
+        raise ValueError(f"--seed is mandatory for the stochastic {mode} mode")
     seed = int(seed)
     dist = cascade.DistSpec(sigma)
     grid = [int(x) for x in x_grid] if x_grid else list(DEFAULT_X_GRID)
@@ -176,20 +175,20 @@ def cmd_infer(args) -> int:
     backend = netio.CrossbarBackend(geometry, refs, policy)
     backend.validate(net)
 
+    if bool(args.images) != bool(args.labels):
+        raise ValueError("--images and --labels go together: pass both or neither")
     if args.weights:
         weights = netio.WeightContainer.load(args.weights)
     else:
         if seed is None:
-            print("infer: --random-weights needs --seed", file=sys.stderr)
-            return 2
+            raise ValueError("random weights need --seed, or pass --weights")
         weights = netio.WeightContainer.random(net, int(seed))
 
-    if args.images and args.labels:
+    if args.images:
         images, labels = netio.load_dataset(args.images, args.labels)
     else:
         if seed is None:
-            print("infer: --synthetic needs --seed", file=sys.stderr)
-            return 2
+            raise ValueError("synthetic images need --seed, or pass --images and --labels")
         rng = np.random.default_rng(int(seed) + 1)
         n = int(_resolve(args, config, "synthetic", 256))
         images = rng.integers(0, 256, (n, net.input_h, net.input_w), dtype=np.uint8)
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--network", help=f"one of {', '.join(sorted(netio.TOPOLOGIES))}")
     i.add_argument("--topology", help="explicit topology line")
     i.add_argument("--weights", help="weight container file")
-    i.add_argument("--random-weights", action="store_true")
     i.add_argument("--images", help="IDX image file")
     i.add_argument("--labels", help="IDX label file")
     i.add_argument("--synthetic", type=int, help="use N random samples instead of a dataset")

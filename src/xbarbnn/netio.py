@@ -75,8 +75,9 @@ Topology grammar ("-" separated tokens):
     "2x2 Pool"  max pool (binary max = OR over the window)
     "FC(120)"   fully connected layer with 120 outputs
 A leading FC token declares the input width instead of a weight layer (the
-MLP rows list the 784-pixel input that way); everywhere else FC(n) is a
-weight layer whose fan-in is inferred from the previous layer.
+MLP rows list the 784-pixel input that way), which must be the input's
+C x H x W; everywhere else FC(n) is a weight layer whose fan-in is inferred
+from the previous layer.
 """
 
 from __future__ import annotations
@@ -203,11 +204,12 @@ def parse_topology(
             n = int(m.group(1))
             if n < 1:
                 raise TopologyError(f"token {pos} {tok!r}: FC needs a positive width")
-            if pos == 0:
-                flat = n  # input-width declaration, not a weight layer
-                continue
             if flat is None:
                 flat = ch * h * w
+            if pos == 0:  # input-width declaration, not a weight layer
+                if n != flat:
+                    raise TopologyError(f"token 0 {tok!r}: declares {n} inputs; the {ch}x{h}x{w} input has {flat}")
+                continue
             layers.append(FCLayer(flat, n, binarized=not first_weight))
             first_weight = False
             flat = n
@@ -417,15 +419,15 @@ class CrossbarBackend:
                 split = "+".join(map(str, lengths))
                 raise ValueError(f"layer {i} (fan-in {layer.fan_in} = {split}): {err}") from None
 
-    def reads_majority(self, n: int, tie_high: bool) -> bool:
+    def reads_majority(self, n: int) -> bool:
         """Whether sensing a binarized layer of fan-in `n` gives its exact
         sign (`_fc_bits_golden`): `n` fits one segment, whose main reference
-        n // 2 is the golden threshold (`_majority`) with ties low, and with
-        ties high for odd `n` only. Raises ValueError where sensing it
+        n // 2 is the golden threshold. Raises ValueError where sensing it
         would."""
         if len(segment_lengths(n, self.config.rows)) > 1:
             return False
-        return self.refs.for_segment(n).main == _majority(n, tie_high)
+        self.refs.for_segment(n)  # raises where the layout does not fit n
+        return True
 
 
 @dataclass(frozen=True)
@@ -617,21 +619,21 @@ def _pool_band(out: np.ndarray, band: np.ndarray, pool: int, width: int) -> None
 def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray, pool: int = 1) -> np.ndarray:
     """(O, C*k*k) kernel rows, (c, i, j) order -> `out`, the (ow * O,
     k * W * C) block-Toeplitz rows of a conv: row (a, o) holds kernel o at
-    the input columns of the window q at position a (q*s .. q*s + k - 1) of
-    the k input rows that an output row reads, with exact zeros elsewhere.
+    the input columns of the window q at position a (q .. q + k - 1) of the
+    k input rows that an output row reads, with exact zeros elsewhere.
     The windows are in column-phase order for a following `pool` x `pool`
     pool (window order for 1): of the first P = (ow // pool) * pool
     windows, window q sits at position (q mod pool) * (ow // pool) +
     q div pool, so each phase's windows are one contiguous block, and the
     ragged windows past P keep their order after them."""
-    k, s, c, o = layer.kernel, layer.stride, layer.in_channels, len(w)
+    k, c, o = layer.kernel, layer.in_channels, len(w)
     per_phase = layer.out_w // pool
     order = [g * pool + j for j in range(pool) for g in range(per_phase)]
     t = out.reshape(layer.out_w, o, k, layer.input_w, c)
     t[...] = 0
     kernels = w.reshape(o, c, k, k).transpose(0, 2, 3, 1)  # (o, i, j, c)
     for a, q in enumerate(order + list(range(len(order), layer.out_w))):
-        t[a, :, :, q * s : q * s + k] = kernels
+        t[a, :, :, q : q + k] = kernels
     return out
 
 
@@ -678,8 +680,8 @@ def _gemms(x, operands, blocks, layer, shift, dtype, rows):
     ws = _workspace()
     conv = isinstance(layer, ConvLayer)
     if conv:
-        k, s = layer.kernel, layer.stride
-        rows = [x[:, r * s : r * s + k].reshape(len(x), -1) for r in rows]
+        k = layer.kernel
+        rows = [x[:, r : r + k].reshape(len(x), -1) for r in rows]
         width = k * math.prod(x.shape[2:])
     else:
         if x.ndim == 4:  # NHWC conv activations
@@ -889,18 +891,13 @@ def _pixel_bits(x: np.ndarray, w: np.ndarray, layer=None, pool=1) -> np.ndarray:
     return bits
 
 
-def _majority(fan_in: int, tie_high: bool) -> int:
-    """The popcount above which a binary layer's exact sign fires: more
-    than fan_in / 2, or at least half with `tie_high`."""
-    return (fan_in - 1) // 2 if tie_high else fan_in // 2
-
-
-def _fc_bits_golden(counts: np.ndarray, fan_in: int, tie_high: bool, out=None) -> np.ndarray:
+def _fc_bits_golden(counts: np.ndarray, fan_in: int, out=None) -> np.ndarray:
     """Exact sign activation of a binary layer from its XNOR popcounts over
     the whole fan-in, of any dtype holding integers: 1 where they are a
-    majority, above `_majority`. Written into the uint8 `out` when given."""
+    majority, above fan_in // 2, so a tie (signed dot 0) reads 0, as the SA
+    does. Written into the uint8 `out` when given."""
     out = None if out is None else out.view(np.bool_)
-    return np.greater(counts, _majority(fan_in, tie_high), out=out).view(np.uint8)
+    return np.greater(counts, fan_in // 2, out=out).view(np.uint8)
 
 
 def _fc_bits_crossbar(counts, lengths: tuple[int, ...], backend: CrossbarBackend, out=None) -> np.ndarray:
@@ -948,7 +945,7 @@ def _each(f, golden, crossbar):
     return f(golden), None if crossbar is None else f(crossbar)
 
 
-def _binarized(layer, w, golden, crossbar, backend, tie_high, pool=1):
+def _binarized(layer, w, golden, crossbar, backend, pool=1):
     """Both chains' activations of a binarized layer that is not the last,
     OR-pooled over `pool` x `pool` windows of a conv's outputs when a pool
     follows it (ragged edges dropped), and the count of its unpooled
@@ -968,7 +965,7 @@ def _binarized(layer, w, golden, crossbar, backend, tie_high, pool=1):
     chain's starts, so the workspace holds one chain's counts at a time.
     Without a pool, each chain writes its bits into its output; with one,
     into a band scratch whose bits `_pool_band` ORs into the pooled row."""
-    shared = crossbar is golden and backend.reads_majority(layer.fan_in, tie_high)
+    shared = crossbar is golden and backend.reads_majority(layer.fan_in)
     if shared:
         crossbar = None
     n, o = layer.fan_in, len(w)
@@ -1023,7 +1020,7 @@ def _binarized(layer, w, golden, crossbar, backend, tie_high, pool=1):
                         g, c = (None if out is None else ws.take(shape, np.uint8) for out in (g, c))
                     with ws.frame():
                         total = golden_pass(golden[lo:hi], band, c if crossbar is golden else None)
-                        np.copyto(g, _fc_bits_golden(total, n, tie_high, g))
+                        np.copyto(g, _fc_bits_golden(total, n, g))
                     if crossbar is not None and crossbar is not golden:
                         with ws.frame():
                             sense(_segment_counts(crossbar[lo:hi], w, lengths, layer, lanes, band), c)
@@ -1073,7 +1070,6 @@ def run_inference(
     images: np.ndarray,
     labels: np.ndarray,
     backend: CrossbarBackend | str = "golden",
-    tie_high: bool = False,
 ) -> InferenceReport:
     """Classify a batch and report accuracy plus, for the crossbar backend,
     the per-layer fraction of activation bits that differ from the exact
@@ -1129,7 +1125,7 @@ def run_inference(
                     lambda x: _activation(layer, _pixel_bits(x, w, layer, pool), len(x), pool), golden, crossbar
                 )
             elif i < acts:
-                golden, crossbar, wrong = _binarized(layer, w, golden, crossbar, backend, tie_high, pool)
+                golden, crossbar, wrong = _binarized(layer, w, golden, crossbar, backend, pool)
             else:  # raw class scores, no thresholding
                 golden, crossbar = _each(lambda x: _signed_matmul(x, w, layer), golden, crossbar)
             if i < acts and crossbar is not None:

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_bits, signed_dot_oracle
-from xbarbnn.bincore import (
-    BinaryTensor,
-    binarize,
-    golden_activation,
-    popcount,
-    xnor,
-    xnor_popcount_dot,
-)
+from xbarbnn.bincore import BinaryTensor, golden_activation, popcount, xnor, xnor_popcount_dot
 
 
 class TestBinaryTensor:
@@ -20,13 +13,8 @@ class TestBinaryTensor:
         t = BinaryTensor.from_bits(bits)
         assert t.shape == (3, 5)
         assert (t.bits() == bits).all()
-
-    def test_signed_encoding_round_trip(self, rng):
-        vals = rng.choice([-1, 1], size=17)
-        t = BinaryTensor.from_signed(vals)
-        assert (t.signed().ravel() == vals).all()
         # bit b encodes 2b - 1
-        assert (t.signed().ravel() == 2 * t.bits().ravel().astype(int) - 1).all()
+        assert (t.signed() == 2 * bits.astype(int) - 1).all()
 
     def test_padding_bits_are_zero(self):
         t = BinaryTensor.from_bits([1, 1, 1])
@@ -35,44 +23,10 @@ class TestBinaryTensor:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BinaryTensor.from_bits([0, 2, 1])
-        with pytest.raises(ValueError):
-            BinaryTensor.from_signed([0, 1])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             BinaryTensor.from_bits([1, 0], shape=(3,))
-
-    def test_reshape_preserves_payload(self, rng):
-        t = random_bits(rng, 12)
-        r = t.reshaped((3, 4))
-        assert (r.bits().ravel() == t.bits()).all()
-        with pytest.raises(ValueError):
-            t.reshaped((5, 5))
-
-
-class TestBinarize:
-    def test_mixed_signs(self):
-        assert binarize([0.3, -0.1, 0.0]).bits().tolist() == [1, 0, 1]
-
-    def test_all_zeros_map_to_one(self):
-        assert binarize(np.zeros(9)).bits().tolist() == [1] * 9
-
-    def test_sign_cases(self):
-        assert binarize([-5, 7, -0.001, 2]).bits().tolist() == [0, 1, 0, 1]
-
-    def test_shape_preserved(self, rng):
-        x = rng.normal(size=(4, 6))
-        assert binarize(x).shape == (4, 6)
-
-    def test_rejects_non_finite(self):
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
-                binarize([0.1, bad])
-
-    def test_idempotent_on_signed_values(self, rng):
-        t = random_bits(rng, 33)
-        again = binarize(t.signed())
-        assert (again.bits().ravel() == t.bits()).all()
 
 
 class TestXnorPopcountDot:
@@ -129,7 +83,6 @@ class TestGoldenActivation:
         a = BinaryTensor.from_bits([1, 1, 1, 1])
         b = BinaryTensor.from_bits([1, 1, 0, 0])  # exactly nu/2 matches
         assert golden_activation(a, b) == 0
-        assert golden_activation(a, b, tie_high=True) == 1
 
     def test_exhaustive_nu8_agrees_with_dot_sign(self):
         n = 8
@@ -137,7 +90,6 @@ class TestGoldenActivation:
         for av, bv in itertools.product(range(1 << n), repeat=2):
             dot = 2 * bin(~(av ^ bv) & 0xFF).count("1") - n
             assert golden_activation(tensors[av], tensors[bv]) == (1 if dot > 0 else 0)
-            assert golden_activation(tensors[av], tensors[bv], tie_high=True) == (1 if dot >= 0 else 0)
 
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -49,6 +49,19 @@ BAD_CONFIGS = [
     (["infer", "--topology", "5x5,6 - 30x30 Pool - FC(10)", "--synthetic", "4", "--seed", "1"],
      "token 1 '30x30 Pool': pool size must be 1 to 24 on a 24x24 input"),
     (["cost", "--topology", "5x5,6 - 0x0 Pool - FC(10)"], "token 1 '0x0 Pool'"),
+    # a leading FC declares the input width, which must be the 1x28x28 pixels' 784: a narrower one
+    # once read the first 500 pixels, a wider one ended in a numpy matmul error
+    (["infer", "--topology", "FC(500) - FC(100) - FC(10)", "--synthetic", "4", "--seed", "1"],
+     "token 0 'FC(500)': declares 500 inputs; the 1x28x28 input has 784"),
+    (["infer", "--topology", "FC(1100) - FC(10)", "--synthetic", "4", "--seed", "1"], "declares 1100 inputs"),
+    (["cost", "--topology", "FC(500) - FC(100) - FC(10)"], "token 0 'FC(500)': declares 500 inputs"),
+    # an IDX file without its pair once ran synthetic images instead
+    (["infer", "--network", "mlp-s", "--images", "missing-images.idx", "--seed", "1"],
+     "--images and --labels go together"),
+    (["infer", "--network", "mlp-s", "--labels", "missing-labels.idx", "--seed", "1"],
+     "--images and --labels go together"),
+    (["infer", "--network", "mlp-s", "--synthetic", "4"], "random weights need --seed"),
+    (["loss-sweep", "--mode", "distance"], "--seed is mandatory for the stochastic distance mode"),
 ]
 
 
@@ -59,7 +72,9 @@ BAD_CONFIGS = [
         "tail-512+8", "lenet5-64x64", "unknown-token", "bad-geometry", "refs-outside-segment", "unknown-network",
         "missing-weights", "missing-images", "missing-config", "missing-params", "f1-one-ref-split",
         "unknown-policy-in-config", "conv-last", "cost-refs-negative", "cost-refs-zero", "cost-refs-even",
-        "pool-zero", "pool-wider-than-input", "cost-pool-zero",
+        "pool-zero", "pool-wider-than-input", "cost-pool-zero", "fc-input-narrower", "fc-input-wider",
+        "cost-fc-input-narrower", "images-without-labels", "labels-without-images", "infer-no-seed",
+        "loss-sweep-no-seed",
     ],
 )
 def test_bad_configuration_is_one_line_and_exit_2(capsys, argv, reason):
@@ -149,6 +164,8 @@ def test_saved_weights_load_back_and_infer_as_the_random_ones(tmp_path, capsys):
     random_run = capsys.readouterr().out
     assert main(argv + ["--weights", str(path)]) == 0
     assert capsys.readouterr().out == random_run
+    assert main(argv[:-2] + ["--weights", str(path)]) == 2  # synthetic images still need the seed
+    assert capsys.readouterr().err == "xbarbnn infer: synthetic images need --seed, or pass --images and --labels\n"
 
 
 def _idx_pair(tmp_path, h: int, w: int, n: int = 4) -> list[str]:

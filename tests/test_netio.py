@@ -88,11 +88,11 @@ def test_run_inference_rejects_images_that_are_not_uint8():
 
 
 @pytest.mark.parametrize(
-    "c, h, w, k, stride, parts",
+    "c, h, w, k, parts",
     [case + (parts,) for case in CONV_CASES for parts in (1, 2, 3) if case[0] * case[3] ** 2 >= parts],
 )
-def test_conv_band_gemm_equals_per_window_reference(rng, c, h, w, k, stride, parts):
-    layer = ConvLayer(c, 4, h, w, k, stride)
+def test_conv_band_gemm_equals_per_window_reference(rng, c, h, w, k, parts):
+    layer = ConvLayer(c, 4, h, w, k)
     # unequal splits: 14+13, 10+10+7 for 27; 13+12, 10+10+5 for 25; 38+37, 26+26+23 for 75
     lengths = segment_lengths(layer.fan_in, -(-layer.fan_in // parts) + (parts == 3))
     assert len(lengths) == parts and len(set(lengths)) == min(parts, 2)
@@ -122,9 +122,8 @@ def test_pixel_conv_is_exact_either_side_of_the_uncentred_bound(channels):
 
 
 def reference_forward(net, weights, images):
-    """int64 reference: im2col per window at the layer's stride, reshape-max
-    pool, sign threshold (zero counts as 1 after the pixel layer, as 0 after
-    a +-1 layer).
+    """int64 reference: im2col per window, reshape-max pool, sign threshold
+    (zero counts as 1 after the pixel layer, as 0 after a +-1 layer).
     Returns (raw class scores, activation bits of every thresholded layer)."""
     x = images[:, None]
     acts = []
@@ -137,10 +136,9 @@ def reference_forward(net, weights, images):
         if layer.binarized:
             x, w = 2 * x - 1, 2 * w - 1
         if isinstance(layer, ConvLayer):
-            k, s, oh, ow = layer.kernel, layer.stride, layer.out_h, layer.out_w
+            k, oh, ow = layer.kernel, layer.out_h, layer.out_w
             cols = np.stack(
-                [x[:, :, r * s : r * s + k, q * s : q * s + k].reshape(len(x), -1) for r in range(oh) for q in range(ow)],
-                axis=1,
+                [x[:, :, r : r + k, q : q + k].reshape(len(x), -1) for r in range(oh) for q in range(ow)], axis=1
             )
             dot = (cols @ w.T).reshape(len(x), oh, ow, -1).transpose(0, 3, 1, 2)
         else:
@@ -169,25 +167,21 @@ def sensed_conv(x, w_bits, layer, backend):
     window and kernel: (B, O, oh, ow)."""
     policy = CascadePolicy(backend.policy_kind, backend.refs)
     groups = [map_weights(BinaryTensor.from_bits(row), backend.config) for row in w_bits.reshape(len(w_bits), -1)]
-    k, s = layer.kernel, layer.stride
+    k = layer.kernel
     out = np.empty((len(x), len(groups), layer.out_h, layer.out_w), np.uint8)
     for b, r, q in itertools.product(range(len(x)), range(layer.out_h), range(layer.out_w)):
-        window = BinaryTensor.from_bits(x[b, :, r * s : r * s + k, q * s : q * s + k].ravel())
+        window = BinaryTensor.from_bits(x[b, :, r : r + k, q : q + k].ravel())
         out[b, :, r, q] = [layer_forward(window, g, backend.refs, policy) for g in groups]
     return out
 
 
 SMALL_CONV_NET = parse_topology("3x3,4 - 2x2 Pool - 3x3,4 - 2x2 Pool - FC(10)", input_h=12, input_w=12)
-# stride 2, which the topology grammar cannot express: 12x12 -> 5x5 -> 2x2,
-# the last input row and column in no window
-STRIDE_2_NET = NetworkSpec(
-    "stride-2", 1, 12, 12,
-    (ConvLayer(1, 4, 12, 12, 3, 2, binarized=False), ConvLayer(4, 6, 5, 5, 3, 2), FCLayer(24, 10)),
-)
+# no pool: 12x12 -> 10x10 -> 8x8, every window of the binarized conv kept
+NO_POOL_NET = parse_topology("3x3,4 - 3x3,6 - FC(10)", input_h=12, input_w=12)
 # a 3x3 pool inside the pixel conv drops the last row and column of its
 # 10x10 output; the only binarized layer gives the scores
 PIXEL_POOL_NET = parse_topology("3x3,4 - 3x3 Pool - FC(10)", input_h=12, input_w=12)
-SMALL_NETS = {"": SMALL_CONV_NET, "-stride-2": STRIDE_2_NET, "-pixel-pool-3": PIXEL_POOL_NET}
+SMALL_NETS = {"": SMALL_CONV_NET, "-no-pool": NO_POOL_NET, "-pixel-pool-3": PIXEL_POOL_NET}
 SMALL_BACKENDS = ("golden", "crossbar", "crossbar-16-rows")
 
 
@@ -208,7 +202,7 @@ def test_run_inference_on_a_small_conv_net_equals_int64_reference(rng, monkeypat
     ]
     if backend != "golden":
         # on 512 rows the binarized conv's fan-in 36 fits one segment, whose
-        # main reference 18 is the golden threshold with ties low: the chains
+        # main reference 18 is the golden threshold: the chains
         # stay one tensor; on 16 rows it splits 16+16+4
         rows, distance = (16, 1) if backend == "crossbar-16-rows" else (512, 16)
         backend = CrossbarBackend(CrossbarConfig(rows, rows), ReferenceSet(rows, distance, 3), "F2")
@@ -297,12 +291,12 @@ def test_only_a_pool_that_follows_no_conv_runs_alone(monkeypatch):
     assert calls == [(4,)] * 3
 
 
-def _lenet5_run(n, backend, tie_high=False):
+def _lenet5_run(n, backend):
     net = named_network("lenet-5")
     rng = np.random.default_rng(3)
     images = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, n, dtype=np.uint8)
-    return run_inference(net, WeightContainer.random(net, 2), images, labels, backend, tie_high)
+    return run_inference(net, WeightContainer.random(net, 2), images, labels, backend)
 
 
 # 128-row arrays split lenet-5's fan-ins 150 and 400 (128+22, 128*3+16), so
@@ -312,30 +306,22 @@ SPLIT_BACKEND = CrossbarBackend(CrossbarConfig(128, 128), ReferenceSet(128, 4, 3
 DEFAULT_BACKEND = CrossbarBackend(CrossbarConfig(), ReferenceSet(512, 16, 3), "F2")
 
 
-@pytest.mark.parametrize("tie_high", [False, True], ids=["tie-low", "tie-high"])
 @pytest.mark.parametrize("name", ["lenet-5", "mlp-s"])
-def test_chains_kept_one_tensor_report_as_if_each_layer_were_sensed(monkeypatch, name, tie_high):
+def test_chains_kept_one_tensor_report_as_if_each_layer_were_sensed(monkeypatch, name):
     net = named_network(name)
     rng = np.random.default_rng(13)
     images = rng.integers(0, 256, (600, 28, 28), dtype=np.uint8)
     args = net, WeightContainer.random(net, 14), images, rng.integers(0, 10, 600, dtype=np.uint8), DEFAULT_BACKEND
     sensed, real = [], netio._fc_bits_crossbar
     monkeypatch.setattr(netio, "_fc_bits_crossbar", lambda *a: sensed.append(a) or real(*a))
-    shared = run_inference(*args, tie_high).to_dict()
-    # every sensed fan-in (150, 256, 120, 84; 500, 250) fits 512 rows and is
-    # even, so the chains share every layer with ties low and none with ties high
-    assert bool(sensed) == tie_high
+    shared = run_inference(*args).to_dict()
+    # every sensed fan-in (150, 256, 120, 84; 500, 250) fits 512 rows, so the
+    # chains share every layer
+    assert not sensed
+    # the only test of the unshared pass on layers that fit one segment
     monkeypatch.setattr(CrossbarBackend, "reads_majority", lambda *args: False)
-    sensed.clear()
-    assert run_inference(*args, tie_high).to_dict() == shared
+    assert run_inference(*args).to_dict() == shared
     assert sensed
-
-
-def test_lenet5_with_ties_high_keeps_the_chains_apart():
-    # even fan-ins: the golden bit fires at the tie count n / 2, the SA above it
-    report = _lenet5_run(200, DEFAULT_BACKEND, tie_high=True)
-    mismatch = [m for _, m in report.layer_mismatch]
-    assert mismatch[0] == 0.0 and all(m > 0 for m in mismatch[1:])
 
 
 @pytest.mark.parametrize("backend", ["golden", SPLIT_BACKEND], ids=["golden", "crossbar"])
@@ -477,35 +463,33 @@ def _blocked(monkeypatch, blocks):
     monkeypatch.setattr(netio, "_MIN_BLOCK_ROWS", 1)
 
 
-def _run_1537(name, backend, tie_high):
+def _run_1537(name, backend):
     """1537 images: a full chunk and a partial one of 513, neither a multiple
     of 2 or 3."""
     net = named_network(name)
     rng = np.random.default_rng(9)
     images = rng.integers(0, 256, (1537, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, 1537, dtype=np.uint8)
-    return run_inference(net, WeightContainer.random(net, 10), images, labels, backend, tie_high).to_dict()
+    return run_inference(net, WeightContainer.random(net, 10), images, labels, backend).to_dict()
 
 
-@pytest.mark.parametrize("tie_high", [False, True], ids=["tie-low", "tie-high"])
 @pytest.mark.parametrize("kind", ["golden", *POLICY_KINDS])
 @pytest.mark.parametrize("name", ["lenet-5", "mlp-l", "cnn-2"])
-def test_report_does_not_depend_on_the_row_blocks(monkeypatch, name, kind, tie_high):
+def test_report_does_not_depend_on_the_row_blocks(monkeypatch, name, kind):
     # 128-row arrays split every binarized fan-in, so the chains diverge
     backend = kind if kind == "golden" else CrossbarBackend(CrossbarConfig(128, 128), ReferenceSet(128, 4, 3), kind)
-    want = _same_report_on_1_2_3_blocks(monkeypatch, name, backend, tie_high)
+    want = _same_report_on_1_2_3_blocks(monkeypatch, name, backend)
     if kind != "golden":
         assert any(m["mismatch"] > 0 for m in want["layer_mismatch"])
 
 
-@pytest.mark.parametrize("tie_high", [False, True], ids=["tie-low", "tie-high"])
-def test_lenet5_report_on_512_rows_does_not_depend_on_the_row_blocks(monkeypatch, tie_high):
-    # one tensor for both chains with ties low; apart from conv2 on with ties high
-    want = _same_report_on_1_2_3_blocks(monkeypatch, "lenet-5", DEFAULT_BACKEND, tie_high)
-    assert any(m["mismatch"] > 0 for m in want["layer_mismatch"]) == tie_high
+def test_lenet5_report_on_512_rows_does_not_depend_on_the_row_blocks(monkeypatch):
+    # one tensor for both chains through every layer
+    want = _same_report_on_1_2_3_blocks(monkeypatch, "lenet-5", DEFAULT_BACKEND)
+    assert not any(m["mismatch"] > 0 for m in want["layer_mismatch"])
 
 
-def _same_report_on_1_2_3_blocks(monkeypatch, name, backend, tie_high):
+def _same_report_on_1_2_3_blocks(monkeypatch, name, backend):
     """The report of `_run_1537`, which must not change from one row block
     to two or three."""
     rows = set()  # images per block
@@ -520,12 +504,12 @@ def _same_report_on_1_2_3_blocks(monkeypatch, name, backend, tie_high):
 
     monkeypatch.setattr(netio, "_by_rows", recording)
     _blocked(monkeypatch, 1)
-    want = _run_1537(name, backend, tie_high)
+    want = _run_1537(name, backend)
     assert rows == {1024, 513}
     for blocks, sizes in [(2, {512, 256, 257}), (3, {341, 342, 171})]:
         _blocked(monkeypatch, blocks)
         rows.clear()
-        assert _run_1537(name, backend, tie_high) == want
+        assert _run_1537(name, backend) == want
         assert rows == sizes
     return want
 
