@@ -203,9 +203,8 @@ def estimate_proposed(net: NetworkSpec, params: CostParams, sa_reference_count: 
     """All columns of a window evaluate in one array read; each column needs
     one SA comparison cycle per reference. Data transfer is pipelined with
     compute, so it costs energy but no serial cycles. Conv layers are
-    costed with parallel_window=False: one window per array read, each
-    window one input column right of the last, bus words from
-    `dataflow.streamed_words_per_layer`.
+    costed with parallel_window=False: one window per array read at the
+    layer's stride, bus words from `dataflow.streamed_words_per_layer`.
     The reference count must be odd and positive, as a `ReferenceSet`'s is:
     ValueError otherwise."""
     if sa_reference_count < 1 or sa_reference_count % 2 == 0:

@@ -23,31 +23,32 @@ from .crossbar import CrossbarConfig
 
 @dataclass(frozen=True)
 class ConvLayer:
-    """Valid (unpadded) k x k convolution of a C x H x W input, whose
-    windows advance one input row or column at a time, as the column-sliced
-    mapping slides one pack per window. `binarized=False` marks the
-    quantized layer that reads raw pixels."""
+    """Valid (unpadded) k x k convolution of a C x H x W input at `stride`.
+    `binarized=False` marks the quantized layer that reads raw pixels."""
 
     in_channels: int
     out_channels: int
     input_h: int = 28
     input_w: int = 28
     kernel: int = 5
+    stride: int = 1
     binarized: bool = True
 
     def __post_init__(self):
         if self.kernel < 1 or min(self.in_channels, self.out_channels) < 1:
             raise ValueError("degenerate conv")
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1")
         if self.kernel > self.input_h or self.kernel > self.input_w:
             raise ValueError(f"kernel exceeds {self.input_h}x{self.input_w} input")
 
     @property
     def out_h(self) -> int:
-        return self.input_h - self.kernel + 1
+        return (self.input_h - self.kernel) // self.stride + 1
 
     @property
     def out_w(self) -> int:
-        return self.input_w - self.kernel + 1
+        return (self.input_w - self.kernel) // self.stride + 1
 
     @property
     def pack_bits(self) -> int:
@@ -74,6 +75,13 @@ class TransactionLog:
 
     def stream(self, bits: int, bit_width: int = 1):
         self.words_streamed += -(-bits * bit_width // self.bus_width_bits)
+
+
+def _check_window(layer: ConvLayer, parallel_window: bool) -> None:
+    # the lookahead pack holds the next window only when windows advance by
+    # one input column
+    if parallel_window and layer.stride > 1:
+        raise ValueError(f"parallel_window needs stride 1, got stride {layer.stride}")
 
 
 @dataclass(frozen=True)
@@ -154,16 +162,17 @@ class ConvWindowBuffer:
         self._next_col = self.slots
         log.stream(self.capacity, self.bit_width)
 
-    def slide_right(self, image: np.ndarray, log: TransactionLog, packs: int) -> None:
+    def slide_right(self, image: np.ndarray, log: TransactionLog, packs: int | None = None) -> None:
         """Advance the window: stream in the new right-most pack(s), dropping
         the same number of stale left-most ones."""
-        if self._next_col + packs > self.layer.input_w:
+        n = self.layer.stride if packs is None else packs
+        if self._next_col + n > self.layer.input_w:
             raise ValueError("slide past the right edge: wrap_down required")
-        for _ in range(packs):
+        for _ in range(n):
             self._packs[self.head] = self._pack_at(image, self._next_col)
             self.head = (self.head + 1) % self.slots
             self._next_col += 1
-        log.stream(packs * self.layer.pack_bits, self.bit_width)
+        log.stream(n * self.layer.pack_bits, self.bit_width)
 
     def window_bits(self, slot: int = 0) -> np.ndarray:
         """Current operating window (slot 0) or the lookahead window (slot 1),
@@ -184,16 +193,19 @@ def run_layer(
     parallel_window: bool = False,
     bit_width: int = 1,
     bus_width_bits: int = 32,
+    stride: int = 1,
 ) -> tuple[np.ndarray, TransactionLog]:
     """Drive one conv layer through the buffer/crossbar mapping.
 
     Returns the signed XNOR-dot value per (output channel, window) and the
     transaction log of the traversal. Windows are evaluated two at a time
-    when parallel_window is set, except for a dangling last window in a row.
+    when parallel_window is set, except for a dangling last window in a row;
+    parallel_window needs stride 1.
     """
     input_bits = np.asarray(input_bits, dtype=np.uint8)
     ch, h, w = input_bits.shape
-    layer = ConvLayer(ch, np.asarray(kernels).shape[0], h, w, np.asarray(kernels).shape[2])
+    layer = ConvLayer(ch, np.asarray(kernels).shape[0], h, w, np.asarray(kernels).shape[2], stride)
+    _check_window(layer, parallel_window)
     parallel_window = parallel_window and layer.out_w >= 2
     image = layout_kernels(layer, kernels, cfg or CrossbarConfig(), parallel_window)
     buf = ConvWindowBuffer(layer, parallel_window, bit_width)
@@ -206,7 +218,7 @@ def run_layer(
 
     dots = np.zeros((layer.out_channels, layer.out_h, layer.out_w), dtype=np.int32)
     for row in range(layer.out_h):
-        buf.wrap_down(input_bits, row, log)
+        buf.wrap_down(input_bits, row * layer.stride, log)
         left = 0  # window position the buffer's head pack belongs to
         col = 0
         while col < layer.out_w:
@@ -216,7 +228,7 @@ def run_layer(
             base = 1 if (parallel_window and not dual) else 0
             target = col - base
             if target > left:
-                buf.slide_right(input_bits, log, target - left)
+                buf.slide_right(input_bits, log, packs=(target - left) * layer.stride)
                 left = target
             for slot in (base, base + 1) if dual else (base,):
                 matches = (kcols[slot::slots] == buf.window_bits(slot)).sum(axis=1)
@@ -232,7 +244,8 @@ def streamed_words_per_layer(
     parallel_window: bool = False,
 ) -> int:
     """Bus words for a full layer traversal, with per-event word rounding: a
-    full refresh per window row plus one pack per slide."""
+    full refresh per window row plus one pack (stride packs) per slide."""
+    _check_window(layer, parallel_window)
     word = lambda bits: -(-bits * bit_width // bus_width_bits)
     pack = layer.pack_bits
     refresh = word(pack * (layer.kernel + (1 if parallel_window else 0)))
@@ -241,5 +254,5 @@ def streamed_words_per_layer(
         full_slides = evals - 1 - (1 if layer.out_w % 2 else 0)
         per_row = refresh + full_slides * word(2 * pack) + (word(pack) if layer.out_w % 2 else 0)
     else:
-        per_row = refresh + (layer.out_w - 1) * word(pack)
+        per_row = refresh + (layer.out_w - 1) * word(layer.stride * pack)
     return layer.out_h * per_row

@@ -3,7 +3,7 @@ import pytest
 from xbarbnn.costmodel import CostParams, compare, estimate_baseline, estimate_proposed
 from xbarbnn.crossbar import segment_lengths
 from xbarbnn.dataflow import ConvLayer, streamed_words_per_layer
-from xbarbnn.netio import TOPOLOGIES, named_network
+from xbarbnn.netio import TOPOLOGIES, FCLayer, NetworkSpec, named_network
 
 PARAMS = CostParams()
 
@@ -33,6 +33,18 @@ def test_layer_costs_follow_the_geometry(name, estimate):
         assert cost.fan_in == fan_in
         assert cost.splits == len(segment_lengths(fan_in, 512))
         assert cost.energy_transfer_j == words * PARAMS.transfer_word_energy_j
+
+
+def test_stride_2_conv_is_costed_at_its_own_window_count():
+    conv = ConvLayer(1, 4, 12, 12, 3, 2, binarized=False)
+    net = NetworkSpec("stride-2", 1, 12, 12, (conv, ConvLayer(4, 6, 5, 5, 3, 2), FCLayer(24, 10)))
+    dense = NetworkSpec("stride-1", 1, 12, 12, (ConvLayer(1, 4, 12, 12, 3, binarized=False),))
+    for estimate in (estimate_proposed, estimate_baseline):
+        first = estimate(net, PARAMS).layers[0]
+        assert (first.windows, estimate(dense, PARAMS).layers[0].windows) == (25, 100)
+        words = streamed_words_per_layer(conv, PARAMS.input_bit_planes, PARAMS.bus_width_bits)
+        assert first.energy_transfer_j == words * PARAMS.transfer_word_energy_j
+    assert [l.windows for l in estimate_proposed(net, PARAMS).layers] == [25, 4, 1]
 
 
 def test_compare_rejects_reports_of_different_networks():
