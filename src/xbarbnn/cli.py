@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 
@@ -86,6 +87,11 @@ def cmd_loss_sweep(args) -> int:
     seed = _resolve(args, config, "seed", None)
     x_grid = _resolve(args, config, "x_grid", None)
     ref_counts = _resolve(args, config, "ref_counts", (1, 3, 5, 7))
+    # (cascade kinds, reference counts) of each stochastic mode
+    sweeps = {"distance": ((policy_kind,), (3,)), "refcount": ((policy_kind,), ref_counts),
+              "functions": (("F1", "F2"), ref_counts)}
+    if mode != "exact" and mode not in sweeps:
+        raise ValueError(f"unknown mode {mode!r}")
 
     segment = nu // 2
     # the exact table is always AND and OR over EXACT_NU_GRID: no other
@@ -116,38 +122,45 @@ def cmd_loss_sweep(args) -> int:
 
     if seed is None:
         raise ValueError(f"--seed is mandatory for the stochastic {mode} mode")
-    seed = int(seed)
+    seed, kinds, counts = int(seed), *sweeps[mode]
     dist = cascade.DistSpec(sigma)
     grid = [int(x) for x in x_grid] if x_grid else list(DEFAULT_X_GRID)
 
     rows, rejected = [], []
-    if mode == "distance":
-        pol = cascade.CascadePolicy(policy_kind, crossbar.ReferenceSet(segment, grid[0], 3))
-        rows, rejected = cascade.sweep_reference_distance(pol, nu, segment, grid, dist, samples, seed)
-    elif mode in ("refcount", "functions"):
-        kinds = ("F1", "F2") if mode == "functions" else (policy_kind,)
-        for kind in kinds:
-            for count in ref_counts:
-                count = int(count)
-                if count == 1:
-                    # single reference: no auxiliary pair, so the relaxed rule
-                    # degenerates to OR and the conservative one to AND
-                    k1 = "OR" if kind == "F2" else "AND"
-                    pol = cascade.CascadePolicy(k1, crossbar.ReferenceSet(segment))
-                    r = cascade.monte_carlo_loss(pol, nu, segment, dist, samples, seed)
-                    rows.append(cascade.SweepRow(k1, nu, segment, 1, 0, r))
-                    continue
-                pol = cascade.CascadePolicy(kind, crossbar.ReferenceSet(segment, grid[0], count))
-                got, rej = cascade.sweep_reference_distance(pol, nu, segment, grid, dist, samples, seed)
-                rows.extend(got)
-                rejected.extend(rej)
-    else:
-        print(f"loss-sweep: unknown mode {mode!r}", file=sys.stderr)
-        return 2
+    for kind, count in itertools.product(kinds, map(int, counts)):
+        got, rej = _sweep(kind, count, nu, segment, grid, dist, samples, seed)
+        rows += got
+        rejected += rej
+    if not rows:
+        raise ValueError("no admissible x: " + "; ".join(f"x={x}: {why}" for x, why in rejected))
     for x, why in rejected:
         print(f"rejected x={x}: {why}", file=sys.stderr)
     _write_text(args.out, cascade.sweep_rows_to_csv(rows, header))
     return 0
+
+
+def _sweep(kind, count, nu, segment, grid, dist, samples, seed):
+    """The rows and the rejected x of one (kind, count) sweep over `grid`.
+    One reference has no auxiliary pair, so the relaxed rule degenerates
+    to OR and the conservative one to AND, in one row. Otherwise the
+    template policy of `cascade.sweep_reference_distance`, which reads only
+    its kind and count, takes the first x whose references fit the segment."""
+    if count < 1 or count % 2 == 0:  # no x can fix it: a bad configuration
+        raise ValueError(f"reference count must be odd and positive, got {count}")
+    if count == 1:
+        pol = cascade.CascadePolicy("OR" if kind == "F2" else "AND", crossbar.ReferenceSet(segment))
+        loss = cascade.monte_carlo_loss(pol, nu, segment, dist, samples, seed)
+        return [cascade.SweepRow(pol.kind, nu, segment, 1, 0, loss)], []
+    rejected = []
+    for x in grid:
+        try:
+            refs = crossbar.ReferenceSet(segment, x, count)
+        except ValueError as err:
+            rejected.append((x, str(err)))
+            continue
+        template = cascade.CascadePolicy(kind, refs)
+        return cascade.sweep_reference_distance(template, nu, segment, grid, dist, samples, seed)
+    return [], rejected
 
 
 # ----------------------------------------------------------------- infer
@@ -191,6 +204,8 @@ def cmd_infer(args) -> int:
             raise ValueError("synthetic images need --seed, or pass --images and --labels")
         rng = np.random.default_rng(int(seed) + 1)
         n = int(_resolve(args, config, "synthetic", 256))
+        if n < 1:
+            raise ValueError(f"--synthetic needs at least 1 sample, got {n}")
         images = rng.integers(0, 256, (n, net.input_h, net.input_w), dtype=np.uint8)
         labels = rng.integers(0, 10, n, dtype=np.uint8)
 
@@ -218,8 +233,7 @@ def cmd_cost(args) -> int:
         try:
             params = costmodel.CostParams.from_dict(_load_config(args.params))
         except ValueError as err:
-            print(f"cost: bad params file: {err}", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad params file: {err}") from err
     else:
         params = costmodel.CostParams()
 

@@ -619,21 +619,21 @@ def _pool_band(out: np.ndarray, band: np.ndarray, pool: int, width: int) -> None
 def _toeplitz(layer: ConvLayer, w: np.ndarray, out: np.ndarray, pool: int = 1) -> np.ndarray:
     """(O, C*k*k) kernel rows, (c, i, j) order -> `out`, the (ow * O,
     k * W * C) block-Toeplitz rows of a conv: row (a, o) holds kernel o at
-    the input columns of the window q at position a (q*s .. q*s + k - 1) of
-    the k input rows that an output row reads, with exact zeros elsewhere.
+    the input columns of the window q at position a (q .. q + k - 1) of the
+    k input rows that an output row reads, with exact zeros elsewhere.
     The windows are in column-phase order for a following `pool` x `pool`
     pool (window order for 1): of the first P = (ow // pool) * pool
     windows, window q sits at position (q mod pool) * (ow // pool) +
     q div pool, so each phase's windows are one contiguous block, and the
     ragged windows past P keep their order after them."""
-    k, s, c, o = layer.kernel, layer.stride, layer.in_channels, len(w)
+    k, c, o = layer.kernel, layer.in_channels, len(w)
     per_phase = layer.out_w // pool
     order = [g * pool + j for j in range(pool) for g in range(per_phase)]
     t = out.reshape(layer.out_w, o, k, layer.input_w, c)
     t[...] = 0
     kernels = w.reshape(o, c, k, k).transpose(0, 2, 3, 1)  # (o, i, j, c)
     for a, q in enumerate(order + list(range(len(order), layer.out_w))):
-        t[a, :, :, q * s : q * s + k] = kernels
+        t[a, :, :, q : q + k] = kernels
     return out
 
 
@@ -680,8 +680,8 @@ def _gemms(x, operands, blocks, layer, shift, dtype, rows):
     ws = _workspace()
     conv = isinstance(layer, ConvLayer)
     if conv:
-        k, s = layer.kernel, layer.stride
-        rows = [x[:, r * s : r * s + k].reshape(len(x), -1) for r in rows]
+        k = layer.kernel
+        rows = [x[:, r : r + k].reshape(len(x), -1) for r in rows]
         width = k * math.prod(x.shape[2:])
     else:
         if x.ndim == 4:  # NHWC conv activations

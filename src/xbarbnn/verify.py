@@ -73,26 +73,24 @@ MLPL_SPLITS = ((512, 512, 476), (512, 488))
 # (array rows, fan-in): one segment, an unequal two-way and a three-way split
 CHAIN_SPLITS = ((8, 7), (8, 14), (8, 23), (16, 12), (16, 28), (16, 40))
 
-# (channels, height, width, kernel, stride, parallel_window): odd and even
-# windows per row at strides 1 and 2, and parallel_window over an odd, an
-# even and a single window per row
+# (channels, height, width, kernel, parallel_window): odd and even windows
+# per row; parallel_window over an odd, an even and a single one per row
 DATAFLOW_CASES = (
-    (3, 9, 11, 3, 1, False), (3, 9, 10, 3, 1, False), (3, 11, 11, 3, 2, False), (3, 11, 13, 3, 2, False),
-    (3, 9, 11, 3, 1, True), (3, 9, 10, 3, 1, True), (2, 5, 3, 3, 1, True),
+    (3, 9, 11, 3, False), (3, 9, 10, 3, False), (3, 9, 11, 3, True), (3, 9, 10, 3, True), (2, 5, 3, 3, True),
 )
 
-# (channels, height, width, kernel, stride) of the engine's conv checks: H != W;
-# a 1x1 kernel; kernels as tall as the input (oh = 1) and as large as it (one
-# window); stride 2 with a leftover row and column
+# (channels, height, width, kernel) of the engine's conv checks: H != W; a
+# 1x1 kernel; kernels as tall as the input (oh = 1) and as large as it (one
+# window); 4x5 and 2x1 outputs
 CONV_CASES = (
-    (1, 7, 9, 1, 1), (3, 7, 9, 3, 1), (3, 9, 7, 5, 1), (3, 5, 8, 5, 1), (1, 5, 5, 5, 1),
-    (3, 10, 12, 3, 2), (1, 8, 6, 5, 2),
+    (1, 7, 9, 1), (3, 7, 9, 3), (3, 9, 7, 5), (3, 5, 8, 5), (1, 5, 5, 5),
+    (3, 6, 7, 3), (1, 6, 5, 5),
 )
 
 # a pool runs inside the conv before it (`conv_pool`): at each size, every
 # CONV_CASES output leaves ragged rows or columns, or pools none of them; the
 # 6x6 output of the last case pools whole at both
-POOL_CASES = CONV_CASES + ((2, 8, 8, 3, 1),)
+POOL_CASES = CONV_CASES + ((2, 8, 8, 3),)
 POOL_SIZES = (2, 3)
 
 # (conv case, pools on its input, pools after it) of `conv_pool` whose pools
@@ -100,8 +98,8 @@ POOL_SIZES = (2, 3)
 # 2x2 at 2 then 2 and to 1x1 at 3 then 2, ragged at both pools; 17x18 pixels
 # pool to 8x9 (a ragged row) or 4x4 in one `netio._pool_or` before the conv
 FOLDED_CASES = (
-    ((2, 12, 13, 3, 1), (), (2, 2)), ((2, 12, 13, 3, 1), (), (3, 2)),
-    ((3, 17, 18, 3, 1), (2,), (2,)), ((3, 17, 18, 3, 1), (2, 2), (2,)),
+    ((2, 12, 13, 3), (), (2, 2)), ((2, 12, 13, 3), (), (3, 2)),
+    ((3, 17, 18, 3), (2,), (2,)), ((3, 17, 18, 3), (2, 2), (2,)),
 )
 
 # array rows for the conv GEMM check: every DATAFLOW_CASES fan-in (27, 18)
@@ -130,9 +128,9 @@ def window_dots(x: np.ndarray, w: np.ndarray, layer) -> np.ndarray:
     """int64 reference for a conv on NHWC `x`: each window's values, in the
     (c, i, j) order of the weight rows `w`, dotted with them; one row per
     (image, window), row-major per image."""
-    k, s = layer.kernel, layer.stride
+    k = layer.kernel
     windows = [
-        x[:, r * s : r * s + k, q * s : q * s + k].transpose(0, 3, 1, 2).reshape(len(x), -1)
+        x[:, r : r + k, q : q + k].transpose(0, 3, 1, 2).reshape(len(x), -1)
         for r in range(layer.out_h)
         for q in range(layer.out_w)
     ]
@@ -235,8 +233,8 @@ def _layout(lengths, x: int, count: int) -> str:
 
 
 def _conv(case) -> str:
-    """A conv case's name, with parallel_window when the case has one."""
-    return "c{}h{}w{}k{}s{}".format(*case[:5]) + "".join(f"pw{pw:d}" for pw in case[5:])
+    """A conv case's name (`s1`: windows step one column), with parallel_window when it has one."""
+    return "c{}h{}w{}k{}s1".format(*case[:4]) + "".join(f"pw{pw:d}" for pw in case[4:])
 
 
 def _pool_case(case) -> str:
@@ -492,9 +490,9 @@ def conv_gemm():
     every other channel 0 against -128), where one float32 GEMM would
     round; `netio._pixel_bits` must fire iff the dot >= 0."""
     rng = np.random.default_rng(3)
-    for ch, h, w, k, stride in dict.fromkeys(case[:5] for case in DATAFLOW_CASES):
-        name = f"c{ch}h{h}w{w}k{k}s{stride}"
-        layer = dataflow.ConvLayer(ch, 5, h, w, k, stride)
+    for shape in dict.fromkeys(case[:4] for case in DATAFLOW_CASES):
+        (ch, h, w, k), name = shape, _conv(shape)
+        layer = dataflow.ConvLayer(ch, 5, h, w, k)
         x = rng.integers(0, 2, (2, h, w, ch), dtype=np.uint8)
         kernels = rng.integers(0, 2, (5, layer.fan_in), dtype=np.uint8)
         for rows in CONV_SPLIT_ROWS:
@@ -552,9 +550,9 @@ def conv_pool():
         "16 rows": netio.CrossbarBackend(crossbar.CrossbarConfig(16, 16), refs),
     }
     for case in [(shape, (), (size,)) for shape in POOL_CASES for size in POOL_SIZES] + list(FOLDED_CASES):
-        (ch, h, w, k, stride), before, after = case
+        (ch, h, w, k), before, after = case
         name, first, pool = _pool_case(case), math.prod(before), math.prod(after)
-        layer = dataflow.ConvLayer(ch, 5, h // first, w // first, k, stride, binarized=False)
+        layer = dataflow.ConvLayer(ch, 5, h // first, w // first, k, binarized=False)
         pools = [netio.PoolLayer(p, h, w) for p in before], [netio.PoolLayer(p, h, w) for p in after]
         steps, want = netio._steps([*pools[0], layer, *pools[1]]), [(None, first)] * bool(before) + [(layer, pool)]
         yield f"{name}, steps", None if steps == want else f"{steps}, want {want}"
@@ -567,7 +565,7 @@ def conv_pool():
         yield f"{name}, pixel conv", _first_diff(fused, functools.reduce(max_pool, after, unfused))
         if before:
             continue
-        layer = dataflow.ConvLayer(4, 5, h, w, k, stride)
+        layer = dataflow.ConvLayer(4, 5, h, w, k)
         bits = rng.integers(0, 2, (3, h, w, 4), dtype=np.uint8)
         apart = bits ^ (rng.random(bits.shape) < 0.2)  # the crossbar chain's input, 20% of it flipped
         kernels = rng.integers(0, 2, (5, layer.fan_in), dtype=np.uint8)
@@ -591,14 +589,14 @@ def dataflow_dots():
     """At bus widths 1/32 and bit widths 1/8, which must not change a dot."""
     rng = np.random.default_rng(2)
     for case in DATAFLOW_CASES:
-        ch, h, w, k, stride, pw = case
-        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+        ch, h, w, k, pw = case
+        layer = dataflow.ConvLayer(ch, 4, h, w, k)
         x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
         kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
         want = netio._signed_matmul(x.transpose(1, 2, 0)[None], kernels.reshape(layer.out_channels, -1), layer)
         want = want.T.reshape(layer.out_channels, layer.out_h, layer.out_w)
         for bus, bits in itertools.product((1, 32), (1, 8)):
-            got = dataflow.run_layer(x, kernels, None, pw, bits, bus, stride)[0]
+            got = dataflow.run_layer(x, kernels, None, pw, bits, bus)[0]
             yield f"{_conv(case)}, bus width {bus}, bit width {bits}", _first_diff(got, want)
 
 
@@ -609,12 +607,12 @@ def bus_words():
     gives, at bus widths 1 (the streamed bits) and 32."""
     rng = np.random.default_rng(2)
     for case, bit_width in itertools.product(DATAFLOW_CASES, (1, 8)):
-        ch, h, w, k, stride, pw = case
-        layer = dataflow.ConvLayer(ch, 4, h, w, k, stride)
+        ch, h, w, k, pw = case
+        layer = dataflow.ConvLayer(ch, 4, h, w, k)
         x = rng.integers(0, 2, (ch, h, w), dtype=np.uint8)
         kernels = rng.integers(0, 2, layer.weight_shape, dtype=np.uint8)
         for bus in (1, 32):
-            logged = dataflow.run_layer(x, kernels, None, pw, bit_width, bus, stride)[1].words_streamed
+            logged = dataflow.run_layer(x, kernels, None, pw, bit_width, bus)[1].words_streamed
             closed = dataflow.streamed_words_per_layer(layer, bit_width, bus, pw)
             why = None if logged == closed else f"{logged} words logged, {closed} closed form"
             yield f"{_conv(case)}, bit width {bit_width}, bus width {bus}", why

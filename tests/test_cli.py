@@ -16,6 +16,8 @@ from xbarbnn.cli import _config_hash, main
 from xbarbnn.crossbar import ReferenceSet
 from xbarbnn.netio import WeightContainer, parse_topology
 
+CONFIGS = Path(__file__).with_name("configs")
+
 BAD_CONFIGS = [
     # the 520-wide layer splits 512+8; distance 16 does not fit 8 bits
     (["infer", "--topology", "FC(784) - FC(520) - FC(100) - FC(10)", "--synthetic", "4", "--seed", "1"], "512+8"),
@@ -35,7 +37,7 @@ BAD_CONFIGS = [
     (["infer", "--network", "mlp-l", "--refs", "1", "--policy", "F1", "--synthetic", "4", "--seed", "1"],
      "layer 1 (fan-in 1500 = 512+512+476): F1 needs"),
     # a config file can name a policy that --policy's choices would refuse
-    (["infer", "--config", str(Path(__file__).with_name("configs") / "policy-xor.json")], "unknown cascade kind 'XOR'"),
+    (["infer", "--config", str(CONFIGS / "policy-xor.json")], "unknown cascade kind 'XOR'"),
     # a conv as the last weight layer scores each window, not each image
     (["infer", "--topology", "5x5,6 - 2x2 Pool - 3x3,10", "--synthetic", "4", "--seed", "1"],
      "must end in an FC layer"),
@@ -62,6 +64,14 @@ BAD_CONFIGS = [
      "--images and --labels go together"),
     (["infer", "--network", "mlp-s", "--synthetic", "4"], "random weights need --seed"),
     (["loss-sweep", "--mode", "distance"], "--seed is mandatory for the stochastic distance mode"),
+    (["cost", "--network", "lenet-5", "--params", str(CONFIGS / "params-missing-keys.json")],
+     "bad params file: missing keys: baseline_popcount_group"),
+    # a config file can name a mode that --mode's choices would refuse
+    (["loss-sweep", "--config", str(CONFIGS / "mode-foo.json")], "unknown mode 'foo'"),
+    (["infer", "--network", "mlp-s", "--synthetic", "-5", "--seed", "1"], "--synthetic needs at least 1 sample, got -5"),
+    # an even count is refused whatever x is, not rejected x by x
+    (["loss-sweep", "--mode", "refcount", "--ref-counts", "1", "2", "--samples", "100", "--seed", "1"],
+     "reference count must be odd and positive, got 2"),
 ]
 
 
@@ -74,7 +84,8 @@ BAD_CONFIGS = [
         "unknown-policy-in-config", "conv-last", "cost-refs-negative", "cost-refs-zero", "cost-refs-even",
         "pool-zero", "pool-wider-than-input", "cost-pool-zero", "fc-input-narrower", "fc-input-wider",
         "cost-fc-input-narrower", "images-without-labels", "labels-without-images", "infer-no-seed",
-        "loss-sweep-no-seed",
+        "loss-sweep-no-seed", "cost-params-missing-keys", "unknown-mode-in-config", "synthetic-negative",
+        "ref-count-even",
     ],
 )
 def test_bad_configuration_is_one_line_and_exit_2(capsys, argv, reason):
@@ -218,6 +229,18 @@ def test_loss_sweep_is_deterministic_and_attributed(tmp_path, mode):
             report = enumerate_loss(nu, nu // 2, CascadePolicy(row["policy"], ReferenceSet(nu // 2)))
             assert (int(row["mismatch_fp"]), int(row["mismatch_fn"])) == (report.false_positives, report.false_negatives)
             assert row["loss_fraction"] == f"{report.loss_fraction:.6g}"
+
+
+def test_an_inadmissible_first_x_rejects_only_its_own_row(capsys):
+    # x=4 sits at grid index 1 in both sweeps, so it draws the same per-row seed
+    x4_rows = []
+    for grid, rejected in ((["300", "4"], "rejected x=300: references outside (0, 256)"), (["8", "4"], "")):
+        assert main(["loss-sweep", "--mode", "distance", "--seed", "1", "--samples", "2000", "--x-grid", *grid]) == 0
+        out, err = capsys.readouterr()
+        assert err.startswith(rejected) and err.count("\n") == bool(rejected)
+        x4_rows += [row for row in csv.DictReader(line for line in out.splitlines() if not line.startswith("#"))
+                    if row["x"] == "4"]
+    assert len(x4_rows) == 2 and x4_rows[0] == x4_rows[1]
 
 
 def test_exact_loss_sweep_hashes_only_what_shapes_its_rows(tmp_path):

@@ -87,12 +87,13 @@ def test_run_inference_rejects_images_that_are_not_uint8():
         run_inference(net, WeightContainer.random(net, 1), images, np.zeros(1, np.uint8))
 
 
-@pytest.mark.parametrize(
-    "c, h, w, k, stride, parts",
-    [case + (parts,) for case in CONV_CASES for parts in (1, 2, 3) if case[0] * case[3] ** 2 >= parts],
-)
-def test_conv_band_gemm_equals_per_window_reference(rng, c, h, w, k, stride, parts):
-    layer = ConvLayer(c, 4, h, w, k, stride)
+# ids c-h-w-k-1-parts: the 1 is the window step
+CONV_PARTS = [case + (parts,) for case in CONV_CASES for parts in (1, 2, 3) if case[0] * case[3] ** 2 >= parts]
+
+
+@pytest.mark.parametrize("c, h, w, k, parts", CONV_PARTS, ids=["{}-{}-{}-{}-1-{}".format(*p) for p in CONV_PARTS])
+def test_conv_band_gemm_equals_per_window_reference(rng, c, h, w, k, parts):
+    layer = ConvLayer(c, 4, h, w, k)
     # unequal splits: 14+13, 10+10+7 for 27; 13+12, 10+10+5 for 25; 38+37, 26+26+23 for 75
     lengths = segment_lengths(layer.fan_in, -(-layer.fan_in // parts) + (parts == 3))
     assert len(lengths) == parts and len(set(lengths)) == min(parts, 2)
@@ -122,9 +123,8 @@ def test_pixel_conv_is_exact_either_side_of_the_uncentred_bound(channels):
 
 
 def reference_forward(net, weights, images):
-    """int64 reference: im2col per window at the layer's stride, reshape-max
-    pool, sign threshold (zero counts as 1 after the pixel layer, as 0 after
-    a +-1 layer).
+    """int64 reference: im2col per window, reshape-max pool, sign threshold
+    (zero counts as 1 after the pixel layer, as 0 after a +-1 layer).
     Returns (raw class scores, activation bits of every thresholded layer)."""
     x = images[:, None]
     acts = []
@@ -137,10 +137,9 @@ def reference_forward(net, weights, images):
         if layer.binarized:
             x, w = 2 * x - 1, 2 * w - 1
         if isinstance(layer, ConvLayer):
-            k, s, oh, ow = layer.kernel, layer.stride, layer.out_h, layer.out_w
+            k, oh, ow = layer.kernel, layer.out_h, layer.out_w
             cols = np.stack(
-                [x[:, :, r * s : r * s + k, q * s : q * s + k].reshape(len(x), -1) for r in range(oh) for q in range(ow)],
-                axis=1,
+                [x[:, :, r : r + k, q : q + k].reshape(len(x), -1) for r in range(oh) for q in range(ow)], axis=1
             )
             dot = (cols @ w.T).reshape(len(x), oh, ow, -1).transpose(0, 3, 1, 2)
         else:
@@ -169,25 +168,21 @@ def sensed_conv(x, w_bits, layer, backend):
     window and kernel: (B, O, oh, ow)."""
     policy = CascadePolicy(backend.policy_kind, backend.refs)
     groups = [map_weights(BinaryTensor.from_bits(row), backend.config) for row in w_bits.reshape(len(w_bits), -1)]
-    k, s = layer.kernel, layer.stride
+    k = layer.kernel
     out = np.empty((len(x), len(groups), layer.out_h, layer.out_w), np.uint8)
     for b, r, q in itertools.product(range(len(x)), range(layer.out_h), range(layer.out_w)):
-        window = BinaryTensor.from_bits(x[b, :, r * s : r * s + k, q * s : q * s + k].ravel())
+        window = BinaryTensor.from_bits(x[b, :, r : r + k, q : q + k].ravel())
         out[b, :, r, q] = [layer_forward(window, g, backend.refs, policy) for g in groups]
     return out
 
 
 SMALL_CONV_NET = parse_topology("3x3,4 - 2x2 Pool - 3x3,4 - 2x2 Pool - FC(10)", input_h=12, input_w=12)
-# stride 2, which the topology grammar cannot express: 12x12 -> 5x5 -> 2x2,
-# the last input row and column in no window
-STRIDE_2_NET = NetworkSpec(
-    "stride-2", 1, 12, 12,
-    (ConvLayer(1, 4, 12, 12, 3, 2, binarized=False), ConvLayer(4, 6, 5, 5, 3, 2), FCLayer(24, 10)),
-)
+# no pool: 12x12 -> 10x10 -> 8x8, every window of the binarized conv kept
+NO_POOL_NET = parse_topology("3x3,4 - 3x3,6 - FC(10)", input_h=12, input_w=12)
 # a 3x3 pool inside the pixel conv drops the last row and column of its
 # 10x10 output; the only binarized layer gives the scores
 PIXEL_POOL_NET = parse_topology("3x3,4 - 3x3 Pool - FC(10)", input_h=12, input_w=12)
-SMALL_NETS = {"": SMALL_CONV_NET, "-stride-2": STRIDE_2_NET, "-pixel-pool-3": PIXEL_POOL_NET}
+SMALL_NETS = {"": SMALL_CONV_NET, "-no-pool": NO_POOL_NET, "-pixel-pool-3": PIXEL_POOL_NET}
 SMALL_BACKENDS = ("golden", "crossbar", "crossbar-16-rows")
 
 
